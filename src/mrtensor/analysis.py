@@ -8,8 +8,6 @@ superposition sampler that draws synthetic event tensors from a model.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +16,6 @@ from .encode import adjacency_at_scale, build_tensor, node_tile
 from .ingest import EventTable, team_minutes
 from .model import CpBtdModel, RANK_THRESHOLD
 from .sptensor import SparseCountTensor, dense_reconstruct
-
-
-def max_workers() -> int:
-    """Worker cap for internal parallelism (MRTENSOR_THREADS, default 1)."""
-    raw = os.environ.get("MRTENSOR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"MRTENSOR_THREADS must be an integer, got {raw!r}")
 
 
 def bray_curtis(u, v) -> float:
@@ -94,20 +83,9 @@ def dissimilarity_matrix(
             raise ValueError(f"team {team!r} has no passes")
         vecs.append(nets[team].ravel() * (reference_minutes / minutes[team]))
     out = np.zeros((len(teams), len(teams)))
-    pairs = [(i, j) for i in range(len(teams)) for j in range(i + 1, len(teams))]
-
-    def fill(pair):
-        i, j = pair
-        out[i, j] = out[j, i] = bray_curtis(vecs[i], vecs[j])
-
-    workers = max_workers()
-    if workers > 1 and len(pairs) > 1:
-        # Pairs write disjoint slots, so scheduling cannot change the result.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, pairs))
-    else:
-        for pair in pairs:
-            fill(pair)
+    for i in range(len(teams)):
+        for j in range(i + 1, len(teams)):
+            out[i, j] = out[j, i] = bray_curtis(vecs[i], vecs[j])
     return DissimilarityMatrix(teams, out)
 
 

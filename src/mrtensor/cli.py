@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +21,6 @@ from .encode import build_tensor
 from .ingest import FieldGeometry, parse_events
 from .model import motif_view, normalize_scores, read_model, write_model
 from .solver import SolverConfig, SolverError, fit_block_gs, fit_em
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Solver settings parsed from a config file and/or flags."""
-
-    solver: SolverConfig
-    source: str | None = None
 
 
 _CONFIG_KEYS = {f.name: f for f in fields(SolverConfig)}
@@ -53,24 +45,19 @@ def parse_config(path) -> dict:
 
 
 def _coerce(key, text):
-    if key == "beta_rule":
-        return text
     if key == "rank" and "," in text:
         return tuple(int(v) for v in text.split(","))
     if key in ("beta", "epsilon", "inner_tol", "outer_tol"):
         return float(text)
-    if key == "global_observations":
-        return None if text.lower() == "none" else int(text)
     return int(text)
 
 
-def load_run_config(args) -> RunConfig:
+def load_run_config(args) -> SolverConfig:
     values = parse_config(args.config) if args.config else {}
     flag_map = {
         "n_terms": args.terms,
         "rank": args.rank,
         "beta": args.beta,
-        "beta_rule": args.beta_rule,
         "epsilon": args.epsilon,
         "max_outer": args.max_outer,
         "max_inner": args.max_inner,
@@ -81,7 +68,7 @@ def load_run_config(args) -> RunConfig:
     for key, value in flag_map.items():
         if value is not None:
             values[key] = value
-    return RunConfig(SolverConfig(**values), source=args.config)
+    return SolverConfig(**values)
 
 
 def _geometry(args) -> FieldGeometry:
@@ -101,7 +88,7 @@ def cmd_encode(args) -> int:
 
 def cmd_fit(args) -> int:
     tensor = sptensor.read_tensor(args.tensor)
-    config = load_run_config(args).solver
+    config = load_run_config(args)
     fit = {"gs": fit_block_gs, "em": fit_em}[args.backend]
     try:
         fitted, report = fit(tensor, config)
@@ -223,7 +210,6 @@ def _add_solver_flags(parser):
     parser.add_argument("--terms", "-H", dest="terms", type=int)
     parser.add_argument("--rank", "-R", dest="rank", type=int)
     parser.add_argument("--beta", type=float)
-    parser.add_argument("--beta-rule", choices=("subproblem", "global"))
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--max-outer", type=int)
     parser.add_argument("--max-inner", type=int)

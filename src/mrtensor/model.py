@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sptensor import SparseCountTensor
+from .sptensor import SparseCountTensor, factor_rows
 
 MODEL_HEADER = "cpbtd v1"
 
@@ -256,8 +256,6 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     linear = float(colsum @ model.component_scale())
     if tensor.nnz == 0:
         return linear
-    from .sptensor import factor_rows
-
     rows = factor_rows(tensor.indices[:, :-1], model.factors)
     # Row-wise intensity: mix components, then pick each entry's replicate.
     mixed = rows * model.omega

@@ -45,12 +45,7 @@ from .model import (
     effective_terms,
     objective,
 )
-from .sptensor import (
-    SparseCountTensor,
-    design_for_mode_slice,
-    design_for_replicate,
-    factor_rows,
-)
+from .sptensor import SparseCountTensor, factor_rows
 
 # Component mass at or below this is treated as numerically dead: the
 # column is frozen and excluded from renormalization.
@@ -63,17 +58,13 @@ class SolverConfig:
 
     ``rank`` may be one bound for every term or a per-term sequence.
     ``beta`` scales with the number of positive observations J of the
-    block being solved (rule "subproblem") or with a fixed
-    ``global_observations`` count (rule "global"); inside a fit both
-    rules see every stored entry, so they coincide unless a global
-    count is pinned explicitly.  ``beta = 0`` disables shrinkage.
+    block being solved; every block of a fit sees all stored entries.
+    ``beta = 0`` disables shrinkage.
     """
 
     n_terms: int = 500
     rank: int | tuple[int, ...] = 5
     beta: float = 1e-3
-    beta_rule: str = "subproblem"
-    global_observations: int | None = None
     epsilon: float = 1e-8
     max_outer: int = 100
     max_inner: int = 250
@@ -94,8 +85,6 @@ class SolverConfig:
                 raise ValueError("need one positive rank per term")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.beta_rule not in ("subproblem", "global"):
-            raise ValueError(f"unknown beta_rule {self.beta_rule!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.max_outer < 0 or self.max_inner < 1:
@@ -110,10 +99,6 @@ class SolverConfig:
 
     def shrinkage_strength(self, n_obs: int) -> float:
         """Effective penalty strength for a block with n_obs positive counts."""
-        if self.beta == 0:
-            return 0.0
-        if self.beta_rule == "global" and self.global_observations is not None:
-            n_obs = self.global_observations
         return self.beta * n_obs
 
 
@@ -182,26 +167,10 @@ class SolverError(RuntimeError):
         self.report = report
 
 
-def _stack_columns(designs, counts):
-    sizes = np.array([len(x) for x in counts], dtype=np.int64)
-    width = designs[0].shape[1] if designs else 0
-    stacked = (
-        np.vstack([np.asarray(d, dtype=np.float64) for d in designs])
-        if sizes.sum()
-        else np.empty((0, width))
-    )
-    x = (
-        np.concatenate([np.asarray(c, dtype=np.float64) for c in counts])
-        if sizes.sum()
-        else np.empty(0)
-    )
-    col_of = np.repeat(np.arange(len(sizes)), sizes)
-    return stacked, x, col_of, sizes
-
-
 def mm_poisson_regression_group(
-    designs,
-    counts,
+    design: np.ndarray,
+    counts: np.ndarray,
+    segment: np.ndarray,
     start: np.ndarray,
     beta: float = 0.0,
     epsilon: float = 1e-8,
@@ -212,9 +181,14 @@ def mm_poisson_regression_group(
 
     Parameters
     ----------
-    designs, counts : sequences, one per column
-        designs[c] is (J_c, K) nonnegative, counts[c] positive counts.
-        Columns may be empty; their coefficients decay to zero.
+    design : (J, K) nonnegative array
+        One design row per observation, stacked over every column's
+        regression.
+    counts : (J,) positive counts
+    segment : (J,) nondecreasing integers in [0, n_columns)
+        The coefficient column each row belongs to, so the rows of one
+        column are contiguous.  A column that no row carries has no
+        data; its coefficients decay to zero.
     start : (K, n_columns) nonnegative array
         Initial coefficients; zero entries stay zero (the update is
         multiplicative), which is how inactive components are kept
@@ -231,28 +205,40 @@ def mm_poisson_regression_group(
     penalized objective never increases from sweep to sweep.
     """
     B = np.array(start, dtype=np.float64, copy=True)
-    if B.ndim != 2 or B.shape[1] != len(designs) or len(designs) != len(counts):
+    if B.ndim != 2:
         raise ValueError("start must be (K, n_columns) matching the data")
     if not np.isfinite(B).all() or (B.size and B.min() < 0):
         raise ValueError("start must be finite and nonnegative")
-    for c, (d, xc) in enumerate(zip(designs, counts)):
-        if np.asarray(d).shape != (len(np.atleast_1d(xc)), B.shape[0]):
-            raise ValueError(f"design for column {c} must be (J_c, K)")
-    stacked, x, col_of, sizes = _stack_columns(designs, counts)
-    if stacked.size:
-        if not np.isfinite(stacked).all() or stacked.min() < 0:
+    design = np.asarray(design, dtype=np.float64)
+    x = np.asarray(counts, dtype=np.float64)
+    segment = np.asarray(segment)
+    if design.shape != (len(x), B.shape[0]) or segment.shape != x.shape:
+        raise ValueError(
+            "design must be (J, K): one row per count and segment id, "
+            "one column per coefficient"
+        )
+    if design.size:
+        if not np.isfinite(design).all() or design.min() < 0:
             raise ValueError("designs must be finite and nonnegative")
         if not np.isfinite(x).all() or x.min() <= 0:
             raise ValueError("counts must be positive and finite")
-        dead_rows = ~(stacked > 0).any(axis=1)
+        dead_rows = ~(design > 0).any(axis=1)
         if dead_rows.any():
             j = int(np.flatnonzero(dead_rows)[0])
             raise ValueError(
                 f"infeasible row: observation {j} has a positive count "
                 "but an all-zero design row"
             )
-    starts = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-    live = starts[sizes > 0]
+    if len(segment) and (
+        segment.dtype.kind not in "iu"
+        or segment[0] < 0 or segment[-1] >= B.shape[1]
+        or (np.diff(segment) < 0).any()
+    ):
+        raise ValueError(
+            "segment ids must be sorted integers in [0, n_columns)"
+        )
+    first = np.flatnonzero(np.diff(segment, prepend=-1))
+    live = segment[first]
     numer = np.zeros_like(B)
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
@@ -260,18 +246,15 @@ def mm_poisson_regression_group(
             w = 1.0 / (1.0 + beta / (epsilon + B.sum(axis=1)))
         else:
             w = None
-        if stacked.size:
-            lam = np.einsum("jk,jk->j", stacked, B[:, col_of].T)
+        if design.size:
+            lam = np.einsum("jk,jk->j", design, B[:, segment].T)
             if (lam <= 0).any():
                 raise ValueError(
                     "zero intensity at a positive count; the iterate "
                     "cannot support the data"
                 )
-            contrib = stacked * (x / lam)[:, None]
-            numer[:] = 0.0
-            numer[:, sizes > 0] = np.add.reduceat(contrib, live, axis=0).T
-        else:
-            numer[:] = 0.0
+            contrib = design * (x / lam)[:, None]
+            numer[:, live] = np.add.reduceat(contrib, first, axis=0).T
         new = B * numer
         if w is not None:
             new *= w[:, None]
@@ -292,8 +275,9 @@ def mm_poisson_regression(
     """Single unpenalized Poisson regression; see the group form."""
     start = np.asarray(start, dtype=np.float64)
     B, sweeps = mm_poisson_regression_group(
-        [np.asarray(design, dtype=np.float64)],
-        [np.asarray(counts, dtype=np.float64)],
+        design,
+        counts,
+        np.zeros(len(counts), dtype=np.int64),
         start.reshape(-1, 1),
         beta=0.0,
         tol=tol,
@@ -345,18 +329,18 @@ def update_scores(
 
     The replicate subproblems are independent Poisson regressions on
     the sampled design rows; with shrinkage on they share the log-sum
-    penalty over each term's row of scores.
+    penalty over each term's row of scores.  Row j of the design is the
+    Hadamard product of factor rows at the j-th entry in replicate
+    order, mixed through the block-diagonal weight matrix.
     """
-    om = model.omega_matrix()
-    designs, counts = [], []
-    for n in range(tensor.shape[-1]):
-        sub = design_for_replicate(tensor, n, model.factors, om)
-        designs.append(sub.values)
-        counts.append(tensor.counts[sub.row_map])
+    order = tensor.mode_order(tensor.ndim - 1)
+    idx = tensor.indices[order]
+    design = factor_rows(idx, model.factors) @ model.omega_matrix()
     beta = config.shrinkage_strength(tensor.nnz)
     ups, sweeps = mm_poisson_regression_group(
-        designs,
-        counts,
+        design,
+        tensor.counts[order],
+        idx[:, -1],
         model.upsilon,
         beta=beta,
         epsilon=config.epsilon,
@@ -389,16 +373,17 @@ def update_mode(
     psi = (model.upsilon / safe[:, None])[blocks].T
     psi[:, usage[blocks] <= 0] = 0.0
 
-    designs, counts = [], []
-    for m in range(model.mode_sizes[mode]):
-        sub = design_for_mode_slice(tensor, mode, m, model.factors, psi)
-        designs.append(sub.values)
-        counts.append(tensor.counts[sub.row_map])
+    # Entries grouped by this mode's index; factor ``mode`` is left out
+    # of the Hadamard product since its rows are the unknowns.
+    order = tensor.mode_order(mode)
+    idx = tensor.indices[order]
+    design = factor_rows(idx, model.factors, skip=mode) * psi[idx[:, -1]]
     beta = config.shrinkage_strength(tensor.nnz)
     start = (model.factors[mode] * tau).T
     mass_form, sweeps = mm_poisson_regression_group(
-        designs,
-        counts,
+        design,
+        tensor.counts[order],
+        idx[:, mode],
         start,
         beta=beta,
         epsilon=config.epsilon,
@@ -560,10 +545,6 @@ def fit_em(
     blocks = model.block_of_component()
     idx = tensor.indices
     counts = tensor.counts.astype(np.float64)
-    n_rep = tensor.shape[-1]
-    rep_rows = [
-        tensor.mode_slice_rows(tensor.ndim - 1, n) for n in range(n_rep)
-    ]
     current = objective(model, tensor)
     trace = [current]
     eff_trace = [effective_terms(model, RANK_THRESHOLD)]
@@ -593,10 +574,9 @@ def fit_em(
                 for h in range(model.n_terms)
             ]
         )
-        ups = np.empty_like(model.upsilon)
-        for n in range(n_rep):
-            per_comp = alloc[rep_rows[n]].sum(axis=0)
-            ups[:, n] = np.add.reduceat(per_comp, model._offsets[:-1]) / denom
+        per_rep = np.zeros((tensor.shape[-1], total_rank))
+        np.add.at(per_rep, idx[:, -1], alloc)
+        ups = np.add.reduceat(per_rep.T, model._offsets[:-1]) / denom[:, None]
         factors = []
         for p in range(model.n_modes):
             numer = np.zeros_like(model.factors[p])

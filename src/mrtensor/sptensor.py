@@ -1,4 +1,4 @@
-"""Sparse count tensors and factor-model design matrices.
+"""Sparse count tensors and the sampled rows of factor-model designs.
 
 Counts are stored coordinate-wise: an (nnz, ndim) index array plus a
 count vector, canonically sorted in ascending lexicographic order with
@@ -12,7 +12,13 @@ weight matrix.  Its defining property is that every column sums to one
 over the complete cell grid, so fitted coefficient blocks carry the
 expected counts.  The full design is never materialized: solvers only
 ever need its rows at observed cells, which are Hadamard products of
-factor rows and cost O(nnz * R) memory.
+factor rows (``factor_rows``) and cost O(nnz * R) memory.
+
+A block update of the fit regresses the counts of every value of one
+mode at once.  It takes the stored entries in ``mode_order(mode)``,
+the stable permutation that groups them by that mode's index, builds
+one design row per entry, and hands the solver the sorted mode indices
+as segment ids: rows sharing a segment share a coefficient column.
 """
 
 from __future__ import annotations
@@ -52,10 +58,12 @@ class SparseCountTensor:
             upper = np.asarray(self.shape, dtype=np.int64)
             if self.indices.min() < 0 or (self.indices >= upper).any():
                 raise ValueError("index out of range for shape")
-            order = np.lexsort(self.indices.T[::-1])
-            if not np.array_equal(order, np.arange(len(order))):
+            # Consecutive rows compare at their first differing column.
+            step = np.diff(self.indices, axis=0)
+            lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+            if (lead < 0).any():
                 raise ValueError("entries must be sorted lexicographically")
-            if (np.diff(self.indices, axis=0) == 0).all(axis=1).any():
+            if (lead == 0).any():
                 raise ValueError("duplicate entries")
 
     @classmethod
@@ -98,25 +106,28 @@ class SparseCountTensor:
     def n_replicates(self) -> int:
         return self.shape[-1]
 
-    def mode_slice_rows(self, mode: int, value: int) -> np.ndarray:
-        """Positions of the stored entries with indices[:, mode] == value.
+    def mode_order(self, mode: int) -> np.ndarray:
+        """Stable permutation of the stored entries by indices[:, mode].
 
-        Grouped once per mode on first use and answered by binary
-        search afterwards, so repeated slicing during a fit is cheap.
+        Computed once per mode and cached; within one mode value the
+        entries keep their canonical (lexicographic) order.
         """
         if not 0 <= mode < self.ndim:
             raise ValueError("mode out of range")
-        if not 0 <= value < self.shape[mode]:
-            raise ValueError("value out of range")
-        cached = self._mode_groups.get(mode)
-        if cached is None:
+        if mode not in self._mode_groups:
             order = np.argsort(self.indices[:, mode], kind="stable")
             bounds = np.searchsorted(
                 self.indices[order, mode], np.arange(self.shape[mode] + 1)
             )
-            cached = (order, bounds)
-            self._mode_groups[mode] = cached
-        order, bounds = cached
+            self._mode_groups[mode] = (order, bounds)
+        return self._mode_groups[mode][0]
+
+    def mode_slice_rows(self, mode: int, value: int) -> np.ndarray:
+        """Positions of the stored entries with indices[:, mode] == value."""
+        order = self.mode_order(mode)
+        if not 0 <= value < self.shape[mode]:
+            raise ValueError("value out of range")
+        bounds = self._mode_groups[mode][1]
         return order[bounds[value] : bounds[value + 1]]
 
     def densify(self) -> np.ndarray:
@@ -171,24 +182,6 @@ def read_tensor(path) -> SparseCountTensor:
     return tensor
 
 
-@dataclass(frozen=True)
-class DesignSubmatrix:
-    """Rows of a factor-model design at a subset of stored entries.
-
-    ``values[j]`` is the design row for tensor entry ``row_map[j]``;
-    columns follow the coefficient layout of the matching subproblem.
-    """
-
-    values: np.ndarray
-    row_map: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or len(self.row_map) != len(self.values):
-            raise ValueError("values and row_map must align")
-        if self.values.size and self.values.min() < 0:
-            raise ValueError("design values must be nonnegative")
-
-
 def factor_rows(
     indices: np.ndarray, factors: list[np.ndarray], skip: int | None = None
 ) -> np.ndarray:
@@ -206,49 +199,6 @@ def factor_rows(
             continue
         out *= phi[indices[:, p], :]
     return out
-
-
-def design_for_replicate(
-    tensor: SparseCountTensor,
-    replicate: int,
-    factors: list[np.ndarray],
-    omega_matrix: np.ndarray,
-) -> DesignSubmatrix:
-    """Design rows of one replicate's score regression.
-
-    One row per stored entry of the replicate, one column per term:
-    row j is the Hadamard product of factor rows at the entry's cell,
-    mixed through the block-diagonal weight matrix.  A replicate with
-    no events yields an empty 0 x H design.
-    """
-    if len(factors) != tensor.ndim - 1:
-        raise ValueError("need one factor per non-replicate mode")
-    rows = tensor.mode_slice_rows(tensor.ndim - 1, replicate)
-    base = factor_rows(tensor.indices[rows], factors)
-    return DesignSubmatrix(base @ omega_matrix, rows)
-
-
-def design_for_mode_slice(
-    tensor: SparseCountTensor,
-    mode: int,
-    value: int,
-    factors: list[np.ndarray],
-    psi: np.ndarray,
-) -> DesignSubmatrix:
-    """Design rows of one mode value's factor regression.
-
-    ``psi`` holds the replicate profiles (n_replicates x R); factor
-    ``mode`` is excluded from the Hadamard product since its rows are
-    the unknowns of the subproblem.
-    """
-    if len(factors) != tensor.ndim - 1:
-        raise ValueError("need one factor per non-replicate mode")
-    if not 0 <= mode < tensor.ndim - 1:
-        raise ValueError("mode out of range")
-    rows = tensor.mode_slice_rows(mode, value)
-    idx = tensor.indices[rows]
-    base = factor_rows(idx, factors, skip=mode)
-    return DesignSubmatrix(base * psi[idx[:, -1], :], rows)
 
 
 def dense_reconstruct(

@@ -10,7 +10,6 @@ from mrtensor.analysis import (
     cosine_similarity,
     dissimilarity_matrix,
     match_motifs,
-    max_workers,
     rank_motifs,
     simulate,
     write_dissimilarity_csv,
@@ -114,26 +113,6 @@ class TestDissimilarityMatrix:
         )
         with pytest.raises(ValueError, match="no passes"):
             dissimilarity_matrix(table, scale=1)
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        rng = np.random.default_rng(92)
-        rows = []
-        for team in "abcd":
-            for k in range(30):
-                x_o, x_d = rng.uniform(0, 115, size=2)
-                y_o, y_d = rng.uniform(0, 74, size=2)
-                rows.append(f"m{team},{team},90,{x_o},{y_o},{x_d},{y_d}")
-        table = table_from(rows)
-        monkeypatch.setenv("MRTENSOR_THREADS", "1")
-        serial = dissimilarity_matrix(table, scale=2)
-        monkeypatch.setenv("MRTENSOR_THREADS", "4")
-        threaded = dissimilarity_matrix(table, scale=2)
-        np.testing.assert_array_equal(serial.values, threaded.values)
-
-    def test_worker_env_validation(self, monkeypatch):
-        monkeypatch.setenv("MRTENSOR_THREADS", "many")
-        with pytest.raises(ValueError, match="MRTENSOR_THREADS"):
-            max_workers()
 
     def test_csv_export(self, tmp_path):
         rows = ["m1,a,90,10,10,80,60", "m2,b,90,10,70,80,10"]

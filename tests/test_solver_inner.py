@@ -74,17 +74,25 @@ class TestSweepMechanics:
         design = np.array([[0.5, 0.5], [0.5, 0.5]])
         counts = np.array([2.0, 2.0])
         start = np.array([[3.0], [0.0]])
-        B, _ = mm_poisson_regression_group([design], [counts], start)
+        B, _ = mm_poisson_regression_group(design, counts, [0, 0], start)
         assert B[1, 0] == 0.0
         assert B[0, 0] == pytest.approx(4.0, rel=1e-10)
 
     def test_empty_column_decays_to_zero(self):
         design = np.empty((0, 2))
         B, sweeps = mm_poisson_regression_group(
-            [design], [np.empty(0)], np.array([[2.0], [5.0]])
+            design, np.empty(0), np.empty(0, dtype=int),
+            np.array([[2.0], [5.0]]),
         )
         np.testing.assert_array_equal(B, [[0.0], [0.0]])
         assert sweeps <= 2
+        # Column 1 carries no rows next to a column that does.
+        B, _ = mm_poisson_regression_group(
+            np.ones((2, 1)), np.array([1.0, 3.0]), [0, 0],
+            np.array([[1.0, 6.0]]),
+        )
+        assert B[0, 0] == pytest.approx(4.0, rel=1e-12)
+        assert B[0, 1] == 0.0
 
     def test_single_sweep_formula(self):
         # One reweighted sweep by hand: numer_k = sum_j a_jk x_j / lam_j
@@ -93,8 +101,9 @@ class TestSweepMechanics:
         counts = np.array([1.0, 2.0])
         beta, eps = 0.5, 1e-2
         B, _ = mm_poisson_regression_group(
-            [design],
-            [counts],
+            design,
+            counts,
+            [0, 0],
             np.array([[1.0]]),
             beta=beta,
             epsilon=eps,
@@ -118,12 +127,13 @@ class TestSweepMechanics:
             )
             return f + beta * np.log(eps + B.sum(axis=1)).sum()
 
+        segment = np.repeat(np.arange(3), 4)
         B = np.full((2, 3), 2.0)
         prev = penalized(B)
         for _ in range(30):
             B, _ = mm_poisson_regression_group(
-                designs, counts, B, beta=beta, epsilon=eps,
-                tol=1e-300, max_iter=1,
+                np.vstack(designs), np.concatenate(counts), segment, B,
+                beta=beta, epsilon=eps, tol=1e-300, max_iter=1,
             )
             cur = penalized(B)
             assert cur <= prev + 1e-10 * max(1.0, abs(prev))
@@ -133,9 +143,10 @@ class TestSweepMechanics:
         rng = np.random.default_rng(65)
         design, c = random_regression_instance(rng, max_rows=6, max_cols=2)
         start = np.ones((design.shape[1], 1))
-        plain, _ = mm_poisson_regression_group([design], [c], start)
+        segment = np.zeros(len(c), dtype=int)
+        plain, _ = mm_poisson_regression_group(design, c, segment, start)
         shrunk, _ = mm_poisson_regression_group(
-            [design], [c], start, beta=5.0
+            design, c, segment, start, beta=5.0
         )
         assert shrunk.sum() < plain.sum()
 
@@ -173,9 +184,7 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="column"):
             mm_poisson_regression_group(
-                [np.ones((2, 1)), np.ones((3, 2))],
-                [np.ones(2), np.ones(3)],
-                np.ones((1, 2)),
+                np.ones((5, 2)), np.ones(5), [0, 0, 1, 1, 1], np.ones((1, 2))
             )
 
     def test_zero_intensity_at_count_rejected(self):
@@ -183,5 +192,19 @@ class TestValidation:
         start = np.array([[1.0], [0.0]])
         with pytest.raises(ValueError, match="zero intensity"):
             mm_poisson_regression_group(
-                [design], [np.array([1.0, 1.0])], start
+                design, np.array([1.0, 1.0]), [0, 0], start
             )
+
+    def test_unsorted_segment_rejected(self):
+        with pytest.raises(ValueError, match="segment"):
+            mm_poisson_regression_group(
+                np.ones((3, 1)), np.ones(3), [0, 1, 0], np.ones((1, 2))
+            )
+
+    def test_out_of_range_segment_rejected(self):
+        # Ids past either end, and ids that are not integers at all.
+        for segment in ([0, 1, 2], [-1, 0, 0], [0.0, 0.5, 1.0]):
+            with pytest.raises(ValueError, match="segment"):
+                mm_poisson_regression_group(
+                    np.ones((3, 1)), np.ones(3), segment, np.ones((1, 2))
+                )

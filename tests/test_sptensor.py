@@ -1,8 +1,8 @@
 """Sparse tensor storage, design extraction, and the text format.
 
-Design-row extraction is checked against the dense reconstruction,
-which is itself checked against scalar intensity evaluation; the three
-routes have no shared code path beyond the factor arrays.
+Design rows are checked against scalar intensity evaluation, as is the
+dense reconstruction; the routes share no code path beyond the factor
+arrays.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ from mrtensor.sptensor import (
     FORMAT_HEADER,
     SparseCountTensor,
     dense_reconstruct,
-    design_for_mode_slice,
-    design_for_replicate,
     factor_rows,
     read_tensor,
     write_tensor,
@@ -78,9 +76,10 @@ class TestCanonicalForm:
             SparseCountTensor((2, 2), np.array([[0, 2]]), np.array([1]))
 
     def test_rejects_unsorted(self):
-        idx = np.array([[1, 0], [0, 0]])
-        with pytest.raises(ValueError, match="sorted"):
-            SparseCountTensor((2, 2), idx, np.array([1, 1]))
+        # Out of order in the leading column, then only in a later one.
+        for idx in ([[1, 0], [0, 0]], [[0, 1], [0, 0]]):
+            with pytest.raises(ValueError, match="sorted"):
+                SparseCountTensor((2, 2), np.array(idx), np.array([1, 1]))
 
     def test_rejects_duplicates(self):
         idx = np.array([[0, 0], [0, 0]])
@@ -162,26 +161,11 @@ class TestDesignRows:
             factor_rows(idx, factors, skip=0), [[7.0, 8.0], [5.0, 6.0]]
         )
 
-    def test_replicate_design_reproduces_intensity(self):
+    def test_block_designs_reproduce_intensity(self):
+        # Each block's segmented design, built as the solver builds it:
+        # row j times its segment's coefficients is the intensity at
+        # stored entry order[j].
         rng = np.random.default_rng(21)
-        model = random_model(rng)
-        idx = np.unique(rng.integers(0, 4, size=(40, 2)), axis=0)
-        idx = np.column_stack([idx, rng.integers(0, 3, size=len(idx))])
-        t = SparseCountTensor.from_entries(
-            (4, 4, 3), idx, np.ones(len(idx), dtype=int)
-        )
-        om = model.omega_matrix()
-        for n in range(3):
-            sub = design_for_replicate(t, n, model.factors, om)
-            lam = sub.values @ model.upsilon[:, n]
-            for j, row in enumerate(sub.row_map):
-                cell = t.indices[row][:-1]
-                assert lam[j] == pytest.approx(
-                    intensity_at(model, cell, n), rel=1e-12
-                )
-
-    def test_mode_slice_design_reproduces_intensity(self):
-        rng = np.random.default_rng(22)
         model = random_model(rng)
         idx = np.unique(rng.integers(0, 4, size=(40, 2)), axis=0)
         idx = np.column_stack([idx, rng.integers(0, 3, size=len(idx))])
@@ -190,20 +174,26 @@ class TestDesignRows:
         )
         usage = model.term_usage()
         tau = model.component_scale()
-        blocks = model.block_of_component()
-        psi = (model.upsilon / usage[:, None])[blocks].T
-        for mode in range(2):
-            for m in range(4):
-                sub = design_for_mode_slice(t, mode, m, model.factors, psi)
-                mass = model.factors[mode][m] * tau
-                lam = sub.values @ mass
-                for j, row in enumerate(sub.row_map):
-                    cell = t.indices[row][:-1]
-                    rep = int(t.indices[row][-1])
-                    assert cell[mode] == m
-                    assert lam[j] == pytest.approx(
-                        intensity_at(model, cell, rep), rel=1e-12
-                    )
+        psi = (model.upsilon / usage[:, None])[model.block_of_component()].T
+        for mode in range(t.ndim):
+            order = t.mode_order(mode)
+            rows = t.indices[order]
+            segment = rows[:, mode]
+            assert (np.diff(segment) >= 0).all()
+            if mode == t.ndim - 1:
+                design = factor_rows(rows, model.factors)
+                design = design @ model.omega_matrix()
+                coef = model.upsilon
+            else:
+                design = factor_rows(rows, model.factors, skip=mode)
+                design = design * psi[rows[:, -1]]
+                coef = (model.factors[mode] * tau).T
+            lam = np.einsum("jk,kj->j", design, coef[:, segment])
+            for j, row in enumerate(order):
+                cell, rep = t.indices[row][:-1], int(t.indices[row][-1])
+                assert lam[j] == pytest.approx(
+                    intensity_at(model, cell, rep), rel=1e-12
+                )
 
 
 class TestDenseReconstruct:

@@ -161,39 +161,51 @@ class TestDesignRows:
             factor_rows(idx, factors, skip=0), [[7.0, 8.0], [5.0, 6.0]]
         )
 
-    def test_block_designs_reproduce_intensity(self):
-        # Each block's segmented design, built as the solver builds it:
+    @staticmethod
+    def _check_block_design(model, t, mode):
+        # The block's segmented design, built as the solver builds it:
         # row j times its segment's coefficients is the intensity at
         # stored entry order[j].
-        rng = np.random.default_rng(21)
-        model = random_model(rng)
+        order = t.mode_order(mode)
+        rows = t.indices[order]
+        segment = rows[:, mode]
+        assert (np.diff(segment) >= 0).all()
+        if mode == t.ndim - 1:
+            design = factor_rows(rows, model.factors) @ model.omega_matrix()
+            coef = model.upsilon
+        else:
+            usage = model.term_usage()
+            psi = (model.upsilon / usage[:, None])[model.block_of_component()].T
+            design = factor_rows(rows, model.factors, skip=mode)
+            design = design * psi[rows[:, -1]]
+            coef = (model.factors[mode] * model.component_scale()).T
+        lam = np.einsum("jk,kj->j", design, coef[:, segment])
+        for j, row in enumerate(order):
+            cell, rep = t.indices[row][:-1], int(t.indices[row][-1])
+            assert lam[j] == pytest.approx(
+                intensity_at(model, cell, rep), rel=1e-12
+            )
+
+    @staticmethod
+    def _random_tensor(rng):
         idx = np.unique(rng.integers(0, 4, size=(40, 2)), axis=0)
         idx = np.column_stack([idx, rng.integers(0, 3, size=len(idx))])
-        t = SparseCountTensor.from_entries(
+        return SparseCountTensor.from_entries(
             (4, 4, 3), idx, np.ones(len(idx), dtype=int)
         )
-        usage = model.term_usage()
-        tau = model.component_scale()
-        psi = (model.upsilon / usage[:, None])[model.block_of_component()].T
-        for mode in range(t.ndim):
-            order = t.mode_order(mode)
-            rows = t.indices[order]
-            segment = rows[:, mode]
-            assert (np.diff(segment) >= 0).all()
-            if mode == t.ndim - 1:
-                design = factor_rows(rows, model.factors)
-                design = design @ model.omega_matrix()
-                coef = model.upsilon
-            else:
-                design = factor_rows(rows, model.factors, skip=mode)
-                design = design * psi[rows[:, -1]]
-                coef = (model.factors[mode] * tau).T
-            lam = np.einsum("jk,kj->j", design, coef[:, segment])
-            for j, row in enumerate(order):
-                cell, rep = t.indices[row][:-1], int(t.indices[row][-1])
-                assert lam[j] == pytest.approx(
-                    intensity_at(model, cell, rep), rel=1e-12
-                )
+
+    def test_replicate_design_reproduces_intensity(self):
+        rng = np.random.default_rng(21)
+        model = random_model(rng)
+        t = self._random_tensor(rng)
+        self._check_block_design(model, t, t.ndim - 1)
+
+    def test_mode_slice_design_reproduces_intensity(self):
+        rng = np.random.default_rng(22)
+        model = random_model(rng)
+        t = self._random_tensor(rng)
+        for mode in range(t.ndim - 1):
+            self._check_block_design(model, t, mode)
 
 
 class TestDenseReconstruct:

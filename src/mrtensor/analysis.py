@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import adjacency_at_scale, build_tensor, node_tile
-from .ingest import EventTable, team_minutes
+from .encode import _quadrant_columns, chain_index, node_tile
+from .ingest import EventTable, _reference_minutes, team_minutes
 from .model import CpBtdModel, RANK_THRESHOLD
 from .sptensor import SparseCountTensor, dense_reconstruct
 
@@ -57,31 +57,34 @@ def dissimilarity_matrix(
 ) -> DissimilarityMatrix:
     """Pairwise Bray-Curtis between teams' exposure-adjusted networks.
 
-    Each team's replicates are encoded at the requested scale and
-    summed into one origin x destination count matrix, multiplied by
-    the team's exposure factor (reference minutes over the team's
-    total minutes, reference defaulting to the across-team mean), then
-    compared entrywise.  A team with no passes has no network to
-    compare and raises.
+    Every event is keyed by its team and its origin and destination
+    nodes at the requested scale (chained quadrant labels, the node
+    order of the adjacency matrices), and one bincount over the keys
+    gives each team's origin x destination count matrix, pooled over
+    its replicates.  Each matrix is multiplied by the team's exposure
+    factor (reference minutes over the team's total minutes, reference
+    defaulting to the across-team mean), then compared entrywise.  A
+    team with no passes has no network to compare and raises.
     """
     minutes = team_minutes(table)
     teams = tuple(minutes)
     if not teams:
         raise ValueError("table has no teams")
-    if reference_minutes is None:
-        reference_minutes = sum(minutes.values()) / len(minutes)
-    if reference_minutes <= 0:
-        raise ValueError("reference_minutes must be positive")
-    tensor = build_tensor(table, scale)
+    reference_minutes = _reference_minutes(minutes, reference_minutes)
+    quadrants = _quadrant_columns(table.coords, scale)
+    team_of_rep = np.array([teams.index(rep.team) for rep in table.replicates])
     size = 4**scale
-    nets = {team: np.zeros((size, size)) for team in teams}
-    for n, rep in enumerate(table.replicates):
-        nets[rep.team] += adjacency_at_scale(tensor, n, scale)
+    key = (
+        team_of_rep[table.replicate_index] * size
+        + chain_index(quadrants[:, 0::2])
+    ) * size + chain_index(quadrants[:, 1::2])
+    nets = np.bincount(key, minlength=len(teams) * size * size)
+    nets = nets.reshape(len(teams), size * size)
     vecs = []
-    for team in teams:
-        if nets[team].sum() == 0:
+    for k, team in enumerate(teams):
+        if not nets[k].any():
             raise ValueError(f"team {team!r} has no passes")
-        vecs.append(nets[team].ravel() * (reference_minutes / minutes[team]))
+        vecs.append(nets[k] * (reference_minutes / minutes[team]))
     out = np.zeros((len(teams), len(teams)))
     for i in range(len(teams)):
         for j in range(i + 1, len(teams)):

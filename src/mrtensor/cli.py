@@ -23,7 +23,9 @@ from .model import motif_view, normalize_scores, read_model, write_model
 from .solver import SolverConfig, SolverError, fit_block_gs, fit_em
 
 
-_CONFIG_KEYS = {f.name: f for f in fields(SolverConfig)}
+# Each solver knob's type is the type of its default; the CLI flags
+# carry the field names as their ``dest``.
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(SolverConfig)}
 
 
 def parse_config(path) -> dict:
@@ -47,27 +49,14 @@ def parse_config(path) -> dict:
 def _coerce(key, text):
     if key == "rank" and "," in text:
         return tuple(int(v) for v in text.split(","))
-    if key in ("beta", "epsilon", "inner_tol", "outer_tol"):
-        return float(text)
-    return int(text)
+    return _CONFIG_KEYS[key](text)
 
 
 def load_run_config(args) -> SolverConfig:
     values = parse_config(args.config) if args.config else {}
-    flag_map = {
-        "n_terms": args.terms,
-        "rank": args.rank,
-        "beta": args.beta,
-        "epsilon": args.epsilon,
-        "max_outer": args.max_outer,
-        "max_inner": args.max_inner,
-        "inner_tol": args.inner_tol,
-        "outer_tol": args.outer_tol,
-        "seed": args.seed,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            values[key] = value
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     return SolverConfig(**values)
 
 
@@ -116,6 +105,9 @@ def cmd_motifs(args) -> int:
         if args.scales
         else list(range(1, depth + 1))
     )
+    for s in scales:
+        if not 1 <= s <= depth:
+            raise ValueError(f"scale {s} out of range [1, {depth}]")
     ranked = analysis.rank_motifs(fitted)
     if args.top > len(ranked):
         print(
@@ -207,8 +199,8 @@ def _add_geometry(parser):
 
 def _add_solver_flags(parser):
     parser.add_argument("--config", help="key = value solver config file")
-    parser.add_argument("--terms", "-H", dest="terms", type=int)
-    parser.add_argument("--rank", "-R", dest="rank", type=int)
+    parser.add_argument("--terms", "-H", dest="n_terms", type=int)
+    parser.add_argument("--rank", "-R", type=int)
     parser.add_argument("--beta", type=float)
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--max-outer", type=int)

@@ -105,6 +105,8 @@ def _quadrant_columns(coords: np.ndarray, scales: int) -> np.ndarray:
 
     Columns alternate origin, destination from scale 1 to ``scales``.
     """
+    if scales < 1:
+        raise ValueError("scales must be >= 1")
     tiles = np.floor(coords * 2**scales).astype(np.int64)
     cols = np.empty((coords.shape[0], 2 * scales), dtype=np.int64)
     for s in range(1, scales + 1):
@@ -122,20 +124,11 @@ def build_tensor(table: EventTable, scales: int) -> SparseCountTensor:
     replicate mode of size table.n_replicates; the total count equals
     table.n_events.
     """
-    if scales < 1:
-        raise ValueError("scales must be >= 1")
+    quadrants = _quadrant_columns(table.coords, scales)
     if table.n_replicates == 0:
         raise ValueError("table has no replicates to encode")
     shape = (4,) * (2 * scales) + (table.n_replicates,)
-    if table.n_events == 0:
-        return SparseCountTensor.from_entries(
-            shape,
-            np.empty((0, 2 * scales + 1), dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    idx = np.column_stack(
-        [_quadrant_columns(table.coords, scales), table.replicate_index]
-    )
+    idx = np.column_stack([quadrants, table.replicate_index])
     return SparseCountTensor.from_entries(
         shape, idx, np.ones(len(idx), dtype=np.int64)
     )

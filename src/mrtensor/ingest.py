@@ -228,12 +228,21 @@ def exposure_factors(
     """
     if not table.replicates:
         raise ValueError("table has no replicates")
-    if reference_minutes is None:
-        per_team = team_minutes(table)
-        reference_minutes = sum(per_team.values()) / len(per_team)
-    if not (reference_minutes > 0 and math.isfinite(reference_minutes)):
-        raise ValueError("reference_minutes must be positive and finite")
+    reference_minutes = _reference_minutes(
+        team_minutes(table), reference_minutes
+    )
     return {
         rep.replicate_id: reference_minutes / rep.minutes
         for rep in table.replicates
     }
+
+
+def _reference_minutes(
+    per_team: dict[str, float], reference_minutes: float | None
+) -> float:
+    """The given reference, or the mean of team totals; positive, finite."""
+    if reference_minutes is None:
+        reference_minutes = sum(per_team.values()) / len(per_team)
+    if not (reference_minutes > 0 and math.isfinite(reference_minutes)):
+        raise ValueError("reference_minutes must be positive and finite")
+    return reference_minutes

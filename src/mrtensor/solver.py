@@ -51,6 +51,9 @@ from .sptensor import SparseCountTensor, factor_rows
 # column is frozen and excluded from renormalization.
 DEAD_FLOOR = 1e-300
 
+# Most entries fit_em may allocate for its nnz x total-rank responsibilities.
+EM_ENTRY_CAP = 50_000_000
+
 
 @dataclass
 class SolverConfig:
@@ -71,7 +74,6 @@ class SolverConfig:
     inner_tol: float = 1e-6
     outer_tol: float = 1e-8
     seed: int = 0
-    em_entry_cap: int = 50_000_000
 
     def __post_init__(self):
         if self.n_terms < 1:
@@ -439,7 +441,9 @@ def fit_block_gs(
     not increase; rejected blocks keep the previous state, so the
     report trace is nonincreasing no matter how the per-block
     penalties interact.  Runs until the relative objective change
-    drops below ``outer_tol`` or ``max_outer`` is reached.
+    drops below ``outer_tol`` or ``max_outer`` is reached.  A block
+    update that fails numerically, or a non-finite objective, raises
+    SolverError carrying the partial report.
     """
     if tensor.total <= 0:
         raise ValueError("cannot fit an empty tensor")
@@ -455,25 +459,36 @@ def fit_block_gs(
     inner_trace = [0]
     eff_trace = [effective_terms(model, RANK_THRESHOLD)]
     rejected = 0
-    converged = False
     if not math.isfinite(current):
         raise SolverError(
             "non-finite objective at initialization", model=model
         )
+
+    def report(converged=False):
+        return _report("block-gs", trace, inner_trace, eff_trace,
+                       converged, time.perf_counter() - t0, rejected)
+
     for _ in range(config.max_outer):
         inner_total = 0
 
         def attempt(update, *args):
             nonlocal model, current, inner_total, rejected
-            trial, sweeps = update(model, tensor, *args, config)
+            try:
+                trial, sweeps = update(model, tensor, *args, config)
+            except ValueError as exc:
+                block = f"mode {args[0]}" if args else "score"
+                raise SolverError(
+                    f"fit aborted in the {block} block: {exc}",
+                    model=model,
+                    report=report(),
+                ) from exc
             inner_total += sweeps
             value = monitored(trial)
             if not math.isfinite(value):
                 raise SolverError(
                     "fit aborted on a non-finite objective",
                     model=trial,
-                    report=_report("block-gs", trace, inner_trace, eff_trace,
-                                   False, time.perf_counter() - t0, rejected),
+                    report=report(),
                 )
             if value <= current:
                 model, current = trial, value
@@ -488,18 +503,8 @@ def fit_block_gs(
         eff_trace.append(effective_terms(model, RANK_THRESHOLD))
         drop = abs(trace[-2] - trace[-1])
         if drop < config.outer_tol * max(1.0, abs(trace[-2])):
-            converged = True
-            break
-    report = _report(
-        "block-gs",
-        trace,
-        inner_trace,
-        eff_trace,
-        converged,
-        time.perf_counter() - t0,
-        rejected,
-    )
-    return model, report
+            return model, report(converged=True)
+    return model, report()
 
 
 def _report(backend, trace, inner, eff, converged, duration, rejected=0):
@@ -535,10 +540,10 @@ def fit_em(
         raise ValueError("cannot fit an empty tensor")
     ranks = config.resolved_ranks()
     total_rank = sum(ranks)
-    if tensor.nnz * total_rank > config.em_entry_cap:
+    if tensor.nnz * total_rank > EM_ENTRY_CAP:
         raise ValueError(
             f"responsibilities need {tensor.nnz * total_rank} entries, "
-            f"over the cap {config.em_entry_cap}; use fit_block_gs"
+            f"over the cap {EM_ENTRY_CAP}; use fit_block_gs"
         )
     t0 = time.perf_counter()
     model = initialize(config, tensor.shape, float(tensor.total))
@@ -548,7 +553,11 @@ def fit_em(
     current = objective(model, tensor)
     trace = [current]
     eff_trace = [effective_terms(model, RANK_THRESHOLD)]
-    converged = False
+
+    def report(converged=False):
+        return _report("em", trace, [0] + [1] * (len(trace) - 1),
+                       eff_trace, converged, time.perf_counter() - t0)
+
     for _ in range(config.max_outer):
         base = factor_rows(idx[:, :-1], model.factors)
         comp = base * model.omega * model.upsilon[blocks][:, idx[:, -1]].T
@@ -557,8 +566,7 @@ def fit_em(
             raise SolverError(
                 "fit aborted: zero intensity at a stored count",
                 model=model,
-                report=_report("em", trace, [0] + [1] * (len(trace) - 1),
-                               eff_trace, False, time.perf_counter() - t0),
+                report=report(),
             )
         alloc = comp * (counts / lam)[:, None]
 
@@ -598,14 +606,5 @@ def fit_em(
         if abs(trace[-2] - trace[-1]) < config.outer_tol * max(
             1.0, abs(trace[-2])
         ):
-            converged = True
-            break
-    report = _report(
-        "em",
-        trace,
-        [0] + [1] * (len(trace) - 1),
-        eff_trace,
-        converged,
-        time.perf_counter() - t0,
-    )
-    return model, report
+            return model, report(converged=True)
+    return model, report()

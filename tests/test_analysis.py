@@ -16,8 +16,9 @@ from mrtensor.analysis import (
     write_motif_csv,
     write_motif_svg,
 )
+from mrtensor.encode import adjacency_at_scale, build_tensor
 from mrtensor.model import CpBtdModel
-from mrtensor.ingest import parse_events
+from mrtensor.ingest import EventTable, Replicate, parse_events, team_minutes
 
 
 def table_from(rows):
@@ -58,7 +59,58 @@ class TestBrayCurtis:
             bray_curtis([-1.0], [1.0])
 
 
+def dissimilarity_through_tensor(table, scale):
+    """Team networks as per-replicate tensor slices summed per team."""
+    tensor = build_tensor(table, scale)
+    minutes = team_minutes(table)
+    reference = sum(minutes.values()) / len(minutes)
+    nets = {team: np.zeros((4**scale, 4**scale)) for team in minutes}
+    for n, rep in enumerate(table.replicates):
+        nets[rep.team] += adjacency_at_scale(tensor, n, scale)
+    vecs = [nets[t].ravel() * (reference / minutes[t]) for t in minutes]
+    out = np.zeros((len(vecs), len(vecs)))
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            out[i, j] = out[j, i] = bray_curtis(vecs[i], vecs[j])
+    return tuple(minutes), out
+
+
+def clustered_table(seed=5, n_teams=5, per_team=3, n_events=600):
+    """Teams with several replicates of unequal minutes; the last
+    replicate carries no events."""
+    rng = np.random.default_rng(seed)
+    reps = tuple(
+        Replicate(f"r{t}_{k}", f"team{t}", float(rng.uniform(85, 100)))
+        for t in range(n_teams)
+        for k in range(per_team)
+    )
+    rep_index = rng.integers(0, len(reps) - 1, size=n_events)
+    centers = rng.uniform(0.1, 0.9, size=(4, 4))
+    coords = centers[rng.integers(0, 4, size=n_events)] + rng.normal(
+        0, 0.08, size=(n_events, 4)
+    )
+    return EventTable(reps, rep_index, np.clip(coords, 0.0, 0.999))
+
+
 class TestDissimilarityMatrix:
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_matches_tensor_route(self, scale):
+        table = clustered_table()
+        assert table.replicate_index.max() == table.n_replicates - 2
+        d = dissimilarity_matrix(table, scale)
+        labels, expected = dissimilarity_through_tensor(table, scale)
+        assert d.labels == labels
+        assert np.array_equal(d.values, expected)
+
+    def test_scale_below_one_rejected(self):
+        with pytest.raises(ValueError, match="scales must be >= 1"):
+            dissimilarity_matrix(clustered_table(), 0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_reference_minutes(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dissimilarity_matrix(clustered_table(), 1, reference_minutes=bad)
+
     def test_exposure_scaling_hand_value(self):
         # Identical passing but half the minutes doubles the exposure-
         # adjusted rates: BC(0.75 x, 1.5 x) = 1/3.
@@ -104,8 +156,6 @@ class TestDissimilarityMatrix:
         assert a.values[0, 1] == pytest.approx(b.values[0, 1])
 
     def test_team_without_passes_rejected(self):
-        from mrtensor.ingest import EventTable, Replicate
-
         table = EventTable(
             (Replicate("m1", "a", 90.0), Replicate("m2", "b", 90.0)),
             np.array([0]),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mrtensor import solver
 from mrtensor.cli import main, parse_config
 from mrtensor.model import read_model
 from mrtensor.solver import read_report
@@ -111,6 +112,32 @@ class TestFit:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_numerical_failure_exits_three_with_report(
+        self, tmp_path, events_csv, monkeypatch, capsys
+    ):
+        tensor = tmp_path / "t.txt"
+        main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
+        inner = solver.mm_poisson_regression_group
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("zero intensity at a positive count")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "mm_poisson_regression_group", fail_second)
+        model = tmp_path / "m.txt"
+        report = tmp_path / "r.csv"
+        code = main([
+            "fit", str(tensor), "--terms", "2", "--rank", "1",
+            "--out", str(model), "--report", str(report),
+        ])
+        assert code == 3
+        assert "zero intensity" in capsys.readouterr().err
+        assert not model.exists()
+        assert len(read_report(report).objective) == 1
+
     def test_config_file_with_flag_override(self, tmp_path, events_csv):
         tensor = tmp_path / "t.txt"
         main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
@@ -191,6 +218,19 @@ class TestMotifs:
         ])
         assert code == 0
         assert "warning" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales", ["0", "3", "1,3"])
+    def test_scale_out_of_range_writes_nothing(
+        self, tmp_path, fitted_model, scales, capsys
+    ):
+        outdir = tmp_path / "motifs"
+        code = main([
+            "motifs", str(fitted_model), "--scales", scales,
+            "--out", str(outdir),
+        ])
+        assert code == 2
+        assert "out of range [1, 2]" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_top_zero_writes_nothing(self, tmp_path, fitted_model):
         outdir = tmp_path / "motifs"

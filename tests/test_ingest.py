@@ -195,7 +195,6 @@ class TestExposure:
 
     def test_bad_reference(self):
         table = parse_events(make_csv(["m1,a,90,10,10,50,40"]))
-        with pytest.raises(ValueError):
-            exposure_factors(table, reference_minutes=0.0)
-        with pytest.raises(ValueError):
-            exposure_factors(table, reference_minutes=math.nan)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                exposure_factors(table, reference_minutes=bad)

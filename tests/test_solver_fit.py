@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mrtensor import solver
 from mrtensor.model import effective_terms, objective
 from mrtensor.solver import (
     FitReport,
@@ -195,6 +196,30 @@ class TestFitBlockGs:
         with pytest.raises(ValueError, match="empty"):
             fit_block_gs(t, small_config())
 
+    def test_block_failure_raises_solver_error(self, monkeypatch):
+        # A ValueError from the inner solver is a numerical failure of
+        # the fit, not bad input: it surfaces as SolverError with the
+        # last accepted model and the trace so far.
+        rng = np.random.default_rng(79)
+        t = random_tensor(rng)
+        inner = solver.mm_poisson_regression_group
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("zero intensity at a positive count")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "mm_poisson_regression_group", fail_second)
+        with pytest.raises(SolverError, match="mode 0 block") as info:
+            fit_block_gs(t, small_config())
+        err = info.value
+        assert isinstance(err.__cause__, ValueError)
+        assert err.model is not None
+        assert len(err.report.objective) == 1
+        assert err.report.converged is False
+
     def test_shrinkage_prunes_terms(self):
         # Data drawn from a single concentrated pattern: extra terms
         # should die under a strong penalty.
@@ -222,11 +247,12 @@ class TestFitEm:
         with pytest.raises(ValueError, match="beta"):
             fit_em(t, small_config(beta=1e-3))
 
-    def test_rejects_oversized_responsibilities(self):
+    def test_rejects_oversized_responsibilities(self, monkeypatch):
         rng = np.random.default_rng(83)
         t = random_tensor(rng)
+        monkeypatch.setattr(solver, "EM_ENTRY_CAP", 10)
         with pytest.raises(ValueError, match="cap"):
-            fit_em(t, small_config(em_entry_cap=10))
+            fit_em(t, small_config())
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(84)

@@ -70,7 +70,7 @@ config = SolverConfig(
 fitted, report = fit_block_gs(data, config)
 
 print(f"\nsolver stopped after {report.outer_iterations} sweeps "
-      f"(converged: {report.converged})")
+      f"(stop: {report.stop_reason})")
 print(f"effective terms: {effective_terms(fitted)} "
       f"(started with {config.n_terms})")
 

@@ -92,7 +92,7 @@ def cmd_fit(args) -> int:
         f"backend={report.backend} outer={report.outer_iterations} "
         f"objective={report.objective[-1]:.10g} "
         f"effective_H={report.effective_terms[-1]} "
-        f"converged={report.converged}"
+        f"stop_reason={report.stop_reason}"
     )
     return 0
 

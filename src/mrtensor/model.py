@@ -256,11 +256,12 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     linear = float(colsum @ model.component_scale())
     if tensor.nnz == 0:
         return linear
-    rows = factor_rows(tensor.indices[:, :-1], model.factors)
-    # Row-wise intensity: mix components, then pick each entry's replicate.
-    mixed = rows * model.omega
-    scores = model.upsilon[model.block_of_component()][:, tensor.indices[:, -1]]
-    lam = np.einsum("jr,rj->j", mixed, scores)
+    # Mix components into terms once per cell, then dot each entry's
+    # cell row with its replicate's scores.
+    cells, inverse = tensor.cell_groups()
+    mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
+    scores = model.upsilon.T[tensor.indices[:, -1]]
+    lam = np.einsum("jh,jh->j", mixed[inverse], scores)
     if (lam <= 0).any():
         return math.inf
     return linear - float(tensor.counts @ np.log(lam))

@@ -14,6 +14,9 @@ contribution and gives the closed-form sweep
 The objective only involves observations with positive counts, every
 sweep keeps the iterate nonnegative, and with a column-stochastic
 design the coefficient total is conserved at sum(x) on every sweep.
+Each column's rows form one contiguous span of the stacked design, and
+a sweep visits the spans in turn: a matrix-vector product gives their
+intensities and a weighted row sum their numerator.
 
 Group shrinkage augments the objective with beta * sum_k log(group_k
 sum + epsilon), a concave log-sum penalty.  Majorizing the logs by
@@ -111,7 +114,9 @@ class FitReport:
     Row 0 describes the initialization.  ``objective`` records the
     monitored objective: the Poisson deviance core plus, when
     shrinkage is on, the log-sum penalties of every block; it is
-    nonincreasing by construction.
+    nonincreasing by construction.  ``stop_reason`` is "converged"
+    (the only case with ``converged`` true), "max_outer", "stalled"
+    (a sweep rejected every block) or, in a SolverError, "aborted".
     """
 
     backend: str
@@ -121,6 +126,7 @@ class FitReport:
     converged: bool
     duration: float
     rejected_blocks: int = 0
+    stop_reason: str = "unknown"
 
     @property
     def outer_iterations(self) -> int:
@@ -150,14 +156,7 @@ def read_report(path) -> FitReport:
             obj.append(float(parts[1]))
             inner.append(int(parts[2]))
             eff.append(int(parts[3]))
-    return FitReport(
-        backend="unknown",
-        objective=obj,
-        inner_iterations=inner,
-        effective_terms=eff,
-        converged=False,
-        duration=float("nan"),
-    )
+    return FitReport("unknown", obj, inner, eff, False, float("nan"))
 
 
 class SolverError(RuntimeError):
@@ -239,27 +238,28 @@ def mm_poisson_regression_group(
         raise ValueError(
             "segment ids must be sorted integers in [0, n_columns)"
         )
+    # One (column, first row, end row) span per column that carries rows.
     first = np.flatnonzero(np.diff(segment, prepend=-1))
-    live = segment[first]
+    spans = list(zip(segment[first].tolist(), first.tolist(),
+                     first[1:].tolist() + [len(segment)]))
+    lam = np.empty(len(x))
     numer = np.zeros_like(B)
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        if beta > 0:
-            w = 1.0 / (1.0 + beta / (epsilon + B.sum(axis=1)))
-        else:
-            w = None
         if design.size:
-            lam = np.einsum("jk,jk->j", design, B[:, segment].T)
+            for c, s, e in spans:
+                lam[s:e] = design[s:e] @ B[:, c]
             if (lam <= 0).any():
                 raise ValueError(
                     "zero intensity at a positive count; the iterate "
                     "cannot support the data"
                 )
-            contrib = design * (x / lam)[:, None]
-            numer[:, live] = np.add.reduceat(contrib, first, axis=0).T
+            ratio = x / lam
+            for c, s, e in spans:
+                numer[:, c] = np.einsum("j,jk->k", ratio[s:e], design[s:e])
         new = B * numer
-        if w is not None:
-            new *= w[:, None]
+        if beta > 0:
+            new *= (1.0 / (1.0 + beta / (epsilon + B.sum(axis=1))))[:, None]
         delta = np.abs(new - B) / np.maximum(np.abs(B), 1e-30)
         B = new
         if not delta.size or delta.max() < tol:
@@ -337,7 +337,9 @@ def update_scores(
     """
     order = tensor.mode_order(tensor.ndim - 1)
     idx = tensor.indices[order]
-    design = factor_rows(idx, model.factors) @ model.omega_matrix()
+    cells, inverse = tensor.cell_groups()
+    mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
+    design = mixed[inverse[order]]
     beta = config.shrinkage_strength(tensor.nnz)
     ups, sweeps = mm_poisson_regression_group(
         design,
@@ -379,7 +381,9 @@ def update_mode(
     # of the Hadamard product since its rows are the unknowns.
     order = tensor.mode_order(mode)
     idx = tensor.indices[order]
-    design = factor_rows(idx, model.factors, skip=mode) * psi[idx[:, -1]]
+    cells, inverse = tensor.cell_groups()
+    rows = factor_rows(cells, model.factors, skip=mode)
+    design = rows[inverse[order]] * psi[idx[:, -1]]
     beta = config.shrinkage_strength(tensor.nnz)
     start = (model.factors[mode] * tau).T
     mass_form, sweeps = mm_poisson_regression_group(
@@ -464,12 +468,13 @@ def fit_block_gs(
             "non-finite objective at initialization", model=model
         )
 
-    def report(converged=False):
+    def report(stop_reason="aborted"):
         return _report("block-gs", trace, inner_trace, eff_trace,
-                       converged, time.perf_counter() - t0, rejected)
+                       stop_reason, time.perf_counter() - t0, rejected)
 
     for _ in range(config.max_outer):
         inner_total = 0
+        rejected_before = rejected
 
         def attempt(update, *args):
             nonlocal model, current, inner_total, rejected
@@ -501,21 +506,24 @@ def fit_block_gs(
         trace.append(current)
         inner_trace.append(inner_total)
         eff_trace.append(effective_terms(model, RANK_THRESHOLD))
+        if rejected - rejected_before == 1 + model.n_modes:
+            return model, report("stalled")
         drop = abs(trace[-2] - trace[-1])
         if drop < config.outer_tol * max(1.0, abs(trace[-2])):
-            return model, report(converged=True)
-    return model, report()
+            return model, report("converged")
+    return model, report("max_outer")
 
 
-def _report(backend, trace, inner, eff, converged, duration, rejected=0):
+def _report(backend, trace, inner, eff, stop_reason, duration, rejected=0):
     return FitReport(
         backend=backend,
         objective=list(trace),
         inner_iterations=list(inner),
         effective_terms=list(eff),
-        converged=converged,
+        converged=stop_reason == "converged",
         duration=duration,
         rejected_blocks=rejected,
+        stop_reason=stop_reason,
     )
 
 
@@ -549,17 +557,18 @@ def fit_em(
     model = initialize(config, tensor.shape, float(tensor.total))
     blocks = model.block_of_component()
     idx = tensor.indices
+    cells, inverse = tensor.cell_groups()
     counts = tensor.counts.astype(np.float64)
     current = objective(model, tensor)
     trace = [current]
     eff_trace = [effective_terms(model, RANK_THRESHOLD)]
 
-    def report(converged=False):
+    def report(stop_reason="aborted"):
         return _report("em", trace, [0] + [1] * (len(trace) - 1),
-                       eff_trace, converged, time.perf_counter() - t0)
+                       eff_trace, stop_reason, time.perf_counter() - t0)
 
     for _ in range(config.max_outer):
-        base = factor_rows(idx[:, :-1], model.factors)
+        base = factor_rows(cells, model.factors)[inverse]
         comp = base * model.omega * model.upsilon[blocks][:, idx[:, -1]].T
         lam = comp.sum(axis=1)
         if (lam <= 0).any():
@@ -576,12 +585,8 @@ def fit_em(
         colsum = np.ones(total_rank)
         for phi in model.factors:
             colsum *= phi.sum(axis=0)
-        denom = np.array(
-            [
-                float(model.omega[model.block(h)] @ colsum[model.block(h)])
-                for h in range(model.n_terms)
-            ]
-        )
+        blks = [model.block(h) for h in range(model.n_terms)]
+        denom = np.array([float(model.omega[b] @ colsum[b]) for b in blks])
         per_rep = np.zeros((tensor.shape[-1], total_rank))
         np.add.at(per_rep, idx[:, -1], alloc)
         ups = np.add.reduceat(per_rep.T, model._offsets[:-1]) / denom[:, None]
@@ -606,5 +611,5 @@ def fit_em(
         if abs(trace[-2] - trace[-1]) < config.outer_tol * max(
             1.0, abs(trace[-2])
         ):
-            return model, report(converged=True)
-    return model, report()
+            return model, report("converged")
+    return model, report("max_outer")

@@ -12,7 +12,10 @@ weight matrix.  Its defining property is that every column sums to one
 over the complete cell grid, so fitted coefficient blocks carry the
 expected counts.  The full design is never materialized: solvers only
 ever need its rows at observed cells, which are Hadamard products of
-factor rows (``factor_rows``) and cost O(nnz * R) memory.
+factor rows (``factor_rows``).  Those rows depend only on the
+non-replicate cell, and ``cell_groups`` lists each distinct cell once
+with the cell of every stored entry, so the products are computed once
+per cell and gathered to the entries.
 
 A block update of the fit regresses the counts of every value of one
 mode at once.  It takes the stored entries in ``mode_order(mode)``,
@@ -41,6 +44,7 @@ class SparseCountTensor:
     indices: np.ndarray
     counts: np.ndarray
     _mode_groups: dict = field(init=False, repr=False, default_factory=dict)
+    _cells: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
@@ -121,6 +125,20 @@ class SparseCountTensor:
             )
             self._mode_groups[mode] = (order, bounds)
         return self._mode_groups[mode][0]
+
+    def cell_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, inverse): the distinct non-replicate cells, ascending,
+        and each stored entry's cell, so cells[inverse] == indices[:, :-1].
+
+        Canonical order keeps a cell's entries contiguous, so no sort is
+        needed.  Computed once and cached.
+        """
+        if self._cells is None:
+            lead = self.indices[:, :-1]
+            new = np.ones(self.nnz, dtype=bool)
+            new[1:] = (np.diff(lead, axis=0) != 0).any(axis=1)
+            self._cells = (lead[new], np.cumsum(new) - 1)
+        return self._cells
 
     def mode_slice_rows(self, mode: int, value: int) -> np.ndarray:
         """Positions of the stored entries with indices[:, mode] == value."""

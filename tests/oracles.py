@@ -74,3 +74,24 @@ def random_regression_instance(rng, max_rows=6, max_cols=3):
             break
     counts = rng.integers(1, 11, size=m).astype(np.float64)
     return design, counts
+
+
+def random_segmented_instance(rng, n_columns=5, max_rows=6, k=3):
+    """Random grouped regression: (design, counts, segment, start).
+
+    Columns 1 to n_columns - 1 each get between 1 and ``max_rows``
+    rows, except one of columns 2 to n_columns - 1, which gets none;
+    column 0 gets none either, so the first segment id is above 0.
+    Every row keeps a positive design entry.
+    """
+    sizes = rng.integers(1, max_rows + 1, size=n_columns)
+    sizes[0] = 0
+    sizes[int(rng.integers(2, n_columns))] = 0
+    segment = np.repeat(np.arange(n_columns), sizes)
+    design = rng.uniform(0.05, 1.0, size=(len(segment), k))
+    design[rng.random(size=design.shape) < 0.25] = 0.0
+    dead = ~(design > 0).any(axis=1)
+    design[dead, 0] = 0.5
+    counts = rng.integers(1, 11, size=len(segment)).astype(np.float64)
+    start = rng.uniform(0.5, 2.0, size=(k, n_columns))
+    return design, counts, segment, start

@@ -83,6 +83,7 @@ class TestFit:
         assert code == 0
         out = capsys.readouterr().out
         assert "backend=block-gs" in out
+        assert "stop_reason=" in out
         fitted = read_model(model)
         assert fitted.n_terms == 2
         trace = read_report(report)

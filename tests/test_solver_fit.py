@@ -179,6 +179,7 @@ class TestFitBlockGs:
         np.testing.assert_array_equal(model.upsilon, init.upsilon)
         assert report.outer_iterations == 0
         assert not report.converged
+        assert report.stop_reason == "max_outer"
 
     def test_converges_on_easy_instance(self):
         rng = np.random.default_rng(80)
@@ -187,7 +188,33 @@ class TestFitBlockGs:
             t, small_config(max_outer=200, outer_tol=1e-9)
         )
         assert report.converged
+        assert report.stop_reason == "converged"
         assert report.effective_terms[-1] == effective_terms(model)
+
+    def test_all_rejected_sweep_stalls(self, monkeypatch):
+        # Every block returns a worse trial, so the first sweep rejects
+        # them all: the trace does not move, and the fit stops as
+        # stalled, not as converged.
+        rng = np.random.default_rng(79)
+        t = random_tensor(rng)
+
+        def worse(model, *args):
+            trial = model.copy()
+            trial.upsilon = trial.upsilon * 3.0
+            return trial, 1
+
+        monkeypatch.setattr(solver, "update_scores", worse)
+        monkeypatch.setattr(solver, "update_mode", worse)
+        cfg = small_config(n_terms=2, max_outer=20)
+        model, report = fit_block_gs(t, cfg)
+        assert report.stop_reason == "stalled"
+        assert not report.converged
+        assert report.outer_iterations == 1
+        assert report.objective[1] == report.objective[0]
+        # The score block and one block per non-replicate mode.
+        assert report.rejected_blocks == t.ndim
+        init = initialize(cfg, t.shape, float(t.total))
+        np.testing.assert_array_equal(model.upsilon, init.upsilon)
 
     def test_empty_tensor_rejected(self):
         t = SparseCountTensor.from_entries(
@@ -219,6 +246,7 @@ class TestFitBlockGs:
         assert err.model is not None
         assert len(err.report.objective) == 1
         assert err.report.converged is False
+        assert err.report.stop_reason == "aborted"
 
     def test_shrinkage_prunes_terms(self):
         # Data drawn from a single concentrated pattern: extra terms
@@ -261,6 +289,8 @@ class TestFitEm:
         diffs = np.diff(report.objective)
         assert (diffs <= 1e-10).all()
         assert report.backend == "em"
+        assert report.stop_reason in ("converged", "max_outer")
+        assert report.converged == (report.stop_reason == "converged")
 
     def test_agrees_with_gs_from_shared_start(self):
         # Capping the inner sweeps keeps the block path in the same

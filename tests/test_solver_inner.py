@@ -9,7 +9,11 @@ from mrtensor.solver import (
     poisson_objective,
 )
 
-from oracles import grid_minimize_poisson, random_regression_instance
+from oracles import (
+    grid_minimize_poisson,
+    random_regression_instance,
+    random_segmented_instance,
+)
 
 
 class TestClosedForms:
@@ -93,6 +97,28 @@ class TestSweepMechanics:
         )
         assert B[0, 0] == pytest.approx(4.0, rel=1e-12)
         assert B[0, 1] == 0.0
+
+    def test_unpenalized_group_matches_per_column_solves(self):
+        # With beta = 0 the columns are independent regressions, so the
+        # grouped solve must reproduce one plain solve per column; a
+        # column without rows keeps only its decay to zero.
+        rng = np.random.default_rng(66)
+        for _ in range(20):
+            design, counts, segment, start = random_segmented_instance(rng)
+            assert segment[0] > 0
+            B, _ = mm_poisson_regression_group(
+                design, counts, segment, start, tol=1e-300, max_iter=60
+            )
+            for c in range(start.shape[1]):
+                rows = segment == c
+                if not rows.any():
+                    np.testing.assert_array_equal(B[:, c], 0.0)
+                    continue
+                b, _ = mm_poisson_regression(
+                    design[rows], counts[rows], start[:, c],
+                    tol=1e-300, max_iter=60,
+                )
+                np.testing.assert_allclose(B[:, c], b, rtol=0, atol=1e-12)
 
     def test_single_sweep_formula(self):
         # One reweighted sweep by hand: numer_k = sum_j a_jk x_j / lam_j

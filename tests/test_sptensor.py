@@ -7,6 +7,7 @@ arrays.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrtensor.model import CpBtdModel, intensity_at
 from mrtensor.sptensor import (
@@ -170,14 +171,16 @@ class TestDesignRows:
         rows = t.indices[order]
         segment = rows[:, mode]
         assert (np.diff(segment) >= 0).all()
+        cells, inverse = t.cell_groups()
         if mode == t.ndim - 1:
-            design = factor_rows(rows, model.factors) @ model.omega_matrix()
+            mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
+            design = mixed[inverse[order]]
             coef = model.upsilon
         else:
             usage = model.term_usage()
             psi = (model.upsilon / usage[:, None])[model.block_of_component()].T
-            design = factor_rows(rows, model.factors, skip=mode)
-            design = design * psi[rows[:, -1]]
+            design = factor_rows(cells, model.factors, skip=mode)
+            design = design[inverse[order]] * psi[rows[:, -1]]
             coef = (model.factors[mode] * model.component_scale()).T
         lam = np.einsum("jk,kj->j", design, coef[:, segment])
         for j, row in enumerate(order):
@@ -206,6 +209,75 @@ class TestDesignRows:
         t = self._random_tensor(rng)
         for mode in range(t.ndim - 1):
             self._check_block_design(model, t, mode)
+
+
+@st.composite
+def canonical_tensors(draw):
+    """Canonical tensors of 1-4 modes plus the replicate mode, any nnz."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=5)))
+    cell = st.tuples(*(st.integers(0, d - 1) for d in shape))
+    entries = draw(st.lists(cell, max_size=40))
+    idx = np.array(entries, dtype=np.int64).reshape(-1, len(shape))
+    return SparseCountTensor.from_entries(shape, idx, np.ones(len(idx)))
+
+
+def check_cell_groups(t):
+    cells, inverse = t.cell_groups()
+    np.testing.assert_array_equal(cells[inverse], t.indices[:, :-1])
+    # Strictly increasing: each step's first nonzero column is positive.
+    step = np.diff(cells, axis=0)
+    assert (step != 0).any(axis=1).all()
+    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    assert (lead > 0).all()
+    assert t.cell_groups() is t.cell_groups()
+
+
+def check_cached_rows(t, rng):
+    cells, inverse = t.cell_groups()
+    total = 3
+    factors = [rng.uniform(0.1, 1.0, size=(d, total)) for d in t.shape[:-1]]
+    for skip in [None, *range(t.ndim - 1)]:
+        assert np.array_equal(
+            factor_rows(cells, factors, skip)[inverse],
+            factor_rows(t.indices[:, :-1], factors, skip),
+        )
+
+
+class TestCellGroups:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(canonical_tensors())
+    def test_groups_reproduce_cells_in_order(self, t):
+        check_cell_groups(t)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(canonical_tensors())
+    def test_cached_rows_are_bit_identical(self, t):
+        check_cached_rows(t, np.random.default_rng(t.nnz))
+
+    def test_every_entry_its_own_cell(self):
+        # One replicate: no two stored entries share a cell.
+        idx = np.array([[0, 0, 0], [0, 2, 0], [1, 1, 0], [2, 0, 0]])
+        t = SparseCountTensor((3, 3, 1), idx, np.ones(4, dtype=int))
+        check_cell_groups(t)
+        np.testing.assert_array_equal(t.cell_groups()[1], np.arange(4))
+        check_cached_rows(t, np.random.default_rng(1))
+
+    def test_empty_tensor(self):
+        t = SparseCountTensor(
+            (3, 2), np.empty((0, 2), dtype=int), np.empty(0, dtype=int)
+        )
+        cells, inverse = t.cell_groups()
+        assert cells.shape == (0, 1) and inverse.shape == (0,)
+        check_cached_rows(t, np.random.default_rng(2))
+
+    def test_one_mode_plus_replicate(self):
+        idx = np.array([[0, 0], [0, 2], [2, 1], [2, 2], [3, 0]])
+        t = SparseCountTensor((4, 3), idx, np.ones(5, dtype=int))
+        check_cell_groups(t)
+        cells, inverse = t.cell_groups()
+        np.testing.assert_array_equal(cells, [[0], [2], [3]])
+        np.testing.assert_array_equal(inverse, [0, 0, 1, 1, 2])
+        check_cached_rows(t, np.random.default_rng(3))
 
 
 class TestDenseReconstruct:

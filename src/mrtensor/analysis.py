@@ -17,6 +17,8 @@ from .ingest import EventTable, _reference_minutes, team_minutes
 from .model import CpBtdModel, RANK_THRESHOLD
 from .sptensor import SparseCountTensor, dense_reconstruct
 
+SVG_SIZE = (1150.0, 740.0)  # motif diagram width and height, SVG units
+
 
 def bray_curtis(u, v) -> float:
     """Bray-Curtis dissimilarity of two nonnegative abundance vectors.
@@ -101,13 +103,11 @@ def write_dissimilarity_csv(dissim: DissimilarityMatrix, path) -> None:
             )
 
 
-def rank_motifs(
-    model: CpBtdModel, threshold: float = RANK_THRESHOLD
-) -> list[tuple[int, float]]:
+def rank_motifs(model: CpBtdModel) -> list[tuple[int, float]]:
     """Active terms by total usage, descending; ties keep the lower term."""
     usage = model.term_usage()
     active = [(h, float(usage[h])) for h in range(model.n_terms)
-              if usage[h] > threshold]
+              if usage[h] > RANK_THRESHOLD]
     return sorted(active, key=lambda item: (-item[1], item[0]))
 
 
@@ -175,10 +175,11 @@ def simulate(
         raise ValueError("rates must be terms x replicates")
     if not np.isfinite(rates).all() or rates.min() < 0:
         raise ValueError("rates must be finite and nonnegative")
-    for h in range(model.n_terms):
-        blk = model.block(h)
-        if rates[h].max() > 0 and model.omega[blk].sum() <= 0:
-            raise ValueError(f"term {h} has zero mixing weights but usage")
+    unmixed = (rates.max(axis=1) > 0) & (model.term_sums(model.omega) <= 0)
+    if unmixed.any():
+        raise ValueError(
+            f"term {unmixed.argmax()} has zero mixing weights but usage"
+        )
     n_rep = rates.shape[1]
     shape = model.mode_sizes + (n_rep,)
     rng = np.random.default_rng(seed)
@@ -231,13 +232,7 @@ def write_motif_csv(matrix: np.ndarray, path) -> None:
             handle.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def write_motif_svg(
-    matrix: np.ndarray,
-    path,
-    top_edges: int = 20,
-    width: float = 1150.0,
-    height: float = 740.0,
-) -> int:
+def write_motif_svg(matrix: np.ndarray, path, top_edges: int = 20) -> int:
     """Arrow diagram of a motif matrix on the dyadic field grid.
 
     Draws the ``top_edges`` heaviest positive entries as arrows from
@@ -245,6 +240,7 @@ def write_motif_svg(
     self-loops), opacity proportional to weight.  Returns the number
     of edges drawn.
     """
+    width, height = SVG_SIZE
     matrix = np.asarray(matrix, dtype=np.float64)
     size = matrix.shape[0]
     scale = int(round(np.log(size) / np.log(4)))

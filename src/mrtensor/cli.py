@@ -202,10 +202,8 @@ def _add_solver_flags(parser):
     parser.add_argument("--terms", "-H", dest="n_terms", type=int)
     parser.add_argument("--rank", "-R", type=int)
     parser.add_argument("--beta", type=float)
-    parser.add_argument("--epsilon", type=float)
     parser.add_argument("--max-outer", type=int)
     parser.add_argument("--max-inner", type=int)
-    parser.add_argument("--inner-tol", type=float)
     parser.add_argument("--outer-tol", type=float)
     parser.add_argument("--seed", type=int)
 

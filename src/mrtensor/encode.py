@@ -191,7 +191,7 @@ def adjacency_at_scale(
         raise ValueError(f"scales must be in [1, {depth}]")
     if not 0 <= replicate < tensor.shape[-1]:
         raise ValueError("replicate out of range")
-    rows = tensor.mode_slice_rows(tensor.ndim - 1, replicate)
+    rows = tensor.indices[:, -1] == replicate
     idx = tensor.indices[rows]
     vo = chain_index(idx[:, 0 : 2 * scales : 2])
     vd = chain_index(idx[:, 1 : 2 * scales : 2])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class EventTable:
     replicates: tuple[Replicate, ...]
     replicate_index: np.ndarray
     coords: np.ndarray
-    _id_to_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.replicate_index = np.asarray(self.replicate_index, dtype=np.int64)
@@ -104,7 +103,6 @@ class EventTable:
         ids = [rep.replicate_id for rep in self.replicates]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate replicate_id")
-        self._id_to_index = {rid: k for k, rid in enumerate(ids)}
 
     @property
     def n_events(self) -> int:
@@ -113,9 +111,6 @@ class EventTable:
     @property
     def n_replicates(self) -> int:
         return len(self.replicates)
-
-    def index_of(self, replicate_id: str) -> int:
-        return self._id_to_index[replicate_id]
 
     def events(self):
         """Iterate events as PassEvent views (presentation order)."""

@@ -108,8 +108,21 @@ class CpBtdModel:
     def omega_matrix(self) -> np.ndarray:
         """Block-diagonal R_total x H mixing matrix."""
         out = np.zeros((self.total_rank, self.n_terms))
-        for h in range(self.n_terms):
-            out[self.block(h), h] = self.omega[self.block(h)]
+        out[np.arange(self.total_rank), self.block_of_component()] = self.omega
+        return out
+
+    def term_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-term sums of a flat per-component array.
+
+        Bit-identical to ``values[block(h)].sum()``: the terms of each
+        rank are the rows of one matrix, reduced row by row.
+        """
+        out = np.empty(self.n_terms)
+        ranks = np.asarray(self.ranks)
+        for r in np.unique(ranks):
+            terms = np.flatnonzero(ranks == r)
+            cols = self._offsets[terms][:, None] + np.arange(r)
+            out[terms] = values[cols].sum(axis=1)
         return out
 
     def term_usage(self) -> np.ndarray:
@@ -185,9 +198,7 @@ class MotifView:
         return self.matrices[-1]
 
 
-def motif_view(
-    model: CpBtdModel, term: int, threshold: float = RANK_THRESHOLD
-) -> MotifView:
+def motif_view(model: CpBtdModel, term: int) -> MotifView:
     depth = model.n_modes // 2
     return MotifView(
         term=term,
@@ -196,7 +207,7 @@ def motif_view(
         matrices=tuple(
             motif_at_scale(model, term, s) for s in range(1, depth + 1)
         ),
-        effective_rank=effective_rank(model, term, threshold),
+        effective_rank=effective_rank(model, term),
     )
 
 
@@ -222,18 +233,14 @@ def normalize_scores(model: CpBtdModel) -> ScoreSummary:
     return ScoreSummary(model.upsilon / eta, eta)
 
 
-def effective_rank(
-    model: CpBtdModel, term: int, threshold: float = RANK_THRESHOLD
-) -> int:
-    """Number of mixing weights of one term above the threshold."""
-    return int((model.omega[model.block(term)] > threshold).sum())
+def effective_rank(model: CpBtdModel, term: int) -> int:
+    """Number of mixing weights of one term above RANK_THRESHOLD."""
+    return int((model.omega[model.block(term)] > RANK_THRESHOLD).sum())
 
 
-def effective_terms(
-    model: CpBtdModel, threshold: float = RANK_THRESHOLD
-) -> int:
-    """Number of terms whose total usage exceeds the threshold."""
-    return int((model.term_usage() > threshold).sum())
+def effective_terms(model: CpBtdModel) -> int:
+    """Number of terms whose total usage exceeds RANK_THRESHOLD."""
+    return int((model.term_usage() > RANK_THRESHOLD).sum())
 
 
 def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:

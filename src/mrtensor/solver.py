@@ -26,12 +26,12 @@ small coefficient groups at a rate that grows as they shrink: an
 adaptive pull to zero that leaves large groups nearly untouched.
 
 The outer loop alternates the replicate-score block with one block per
-tensor mode.  Mode blocks are solved in the mass-carrying variables
-A = Phi * diag(component totals), which keeps each row subproblem an
-instance of the regression above; afterwards the columns are
-renormalized onto the probability simplex, with the column masses
-folded back into the mixing weights and usage scores so the intensity
-function is preserved exactly.
+tensor mode, each laid out by ``block_design``.  Mode blocks are solved
+in the mass-carrying variables A = Phi * diag(component totals), which
+keeps each row subproblem an instance of the regression above;
+afterwards the columns are renormalized onto the probability simplex,
+with the column masses folded back into the mixing weights and usage
+scores so the intensity function is preserved exactly.
 """
 
 from __future__ import annotations
@@ -42,12 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CpBtdModel,
-    RANK_THRESHOLD,
-    effective_terms,
-    objective,
-)
+from .model import CpBtdModel, effective_terms, objective
 from .sptensor import SparseCountTensor, factor_rows
 
 # Component mass at or below this is treated as numerically dead: the
@@ -65,18 +60,21 @@ class SolverConfig:
     ``rank`` may be one bound for every term or a per-term sequence.
     ``beta`` scales with the number of positive observations J of the
     block being solved; every block of a fit sees all stored entries.
-    ``beta = 0`` disables shrinkage.
+    ``beta = 0`` disables shrinkage.  The penalty offset ``epsilon``
+    and the inner solver's relative-change tolerance ``inner_tol`` are
+    fixed constants, not fields.
     """
 
     n_terms: int = 500
     rank: int | tuple[int, ...] = 5
     beta: float = 1e-3
-    epsilon: float = 1e-8
     max_outer: int = 100
     max_inner: int = 250
-    inner_tol: float = 1e-6
     outer_tol: float = 1e-8
     seed: int = 0
+
+    epsilon = 1e-8
+    inner_tol = 1e-6
 
     def __post_init__(self):
         if self.n_terms < 1:
@@ -90,12 +88,10 @@ class SolverConfig:
                 raise ValueError("need one positive rank per term")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.max_outer < 0 or self.max_inner < 1:
             raise ValueError("iteration caps out of range")
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.outer_tol <= 0:
+            raise ValueError("outer_tol must be positive")
 
     def resolved_ranks(self) -> tuple[int, ...]:
         if isinstance(self.rank, tuple):
@@ -114,16 +110,15 @@ class FitReport:
     Row 0 describes the initialization.  ``objective`` records the
     monitored objective: the Poisson deviance core plus, when
     shrinkage is on, the log-sum penalties of every block; it is
-    nonincreasing by construction.  ``stop_reason`` is "converged"
-    (the only case with ``converged`` true), "max_outer", "stalled"
-    (a sweep rejected every block) or, in a SolverError, "aborted".
+    nonincreasing by construction.  ``stop_reason`` is "converged",
+    "max_outer", "stalled" (a sweep accepted no block) or, in a
+    SolverError, "aborted".
     """
 
     backend: str
     objective: list[float]
     inner_iterations: list[int]
     effective_terms: list[int]
-    converged: bool
     duration: float
     rejected_blocks: int = 0
     stop_reason: str = "unknown"
@@ -131,6 +126,10 @@ class FitReport:
     @property
     def outer_iterations(self) -> int:
         return len(self.objective) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def write_report(report: FitReport, path) -> None:
@@ -156,7 +155,7 @@ def read_report(path) -> FitReport:
             obj.append(float(parts[1]))
             inner.append(int(parts[2]))
             eff.append(int(parts[3]))
-    return FitReport("unknown", obj, inner, eff, False, float("nan"))
+    return FitReport("unknown", obj, inner, eff, float("nan"))
 
 
 class SolverError(RuntimeError):
@@ -174,8 +173,8 @@ def mm_poisson_regression_group(
     segment: np.ndarray,
     start: np.ndarray,
     beta: float = 0.0,
-    epsilon: float = 1e-8,
-    tol: float = 1e-6,
+    epsilon: float = SolverConfig.epsilon,
+    tol: float = SolverConfig.inner_tol,
     max_iter: int = 250,
 ) -> tuple[np.ndarray, int]:
     """Jointly solve one Poisson regression per column under group shrinkage.
@@ -271,7 +270,7 @@ def mm_poisson_regression(
     design: np.ndarray,
     counts: np.ndarray,
     start: np.ndarray,
-    tol: float = 1e-6,
+    tol: float = SolverConfig.inner_tol,
     max_iter: int = 250,
 ) -> tuple[np.ndarray, int]:
     """Single unpenalized Poisson regression; see the group form."""
@@ -324,6 +323,47 @@ def initialize(
     return CpBtdModel(ranks, factors, omega, upsilon)
 
 
+def block_design(
+    model: CpBtdModel, tensor: SparseCountTensor, mode: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(design, counts, segment, start) of one block's regressions.
+
+    One row per stored entry, in ``mode_order(mode)``, gathered from its
+    cell's factor-row product; ``segment`` is the entry's index along
+    ``mode``, so rows sharing it share a coefficient column.  The
+    replicate mode is the score block: rows mixed into terms, usage
+    scores as coefficients.  Any other mode leaves its own factor out,
+    scales rows by the replicate's per-component scores psi, and solves
+    for A = Phi diag(tau), tau the component masses.
+    """
+    order = tensor.mode_order(mode)
+    segment = tensor.indices[order, mode]
+    cells, inverse = tensor.cell_groups()
+    gather = inverse[order]
+    if mode == tensor.ndim - 1:
+        mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
+        return mixed[gather], tensor.counts[order], segment, model.upsilon
+    usage = model.term_usage()
+    blocks = model.block_of_component()
+    safe = np.where(usage > 0, usage, 1.0)
+    psi = (model.upsilon / safe[:, None])[blocks].T
+    psi[:, usage[blocks] <= 0] = 0.0
+    rows = factor_rows(cells, model.factors, skip=mode)[gather]
+    design = rows * psi[tensor.indices[order, -1]]
+    start = (model.factors[mode] * model.component_scale()).T
+    return design, tensor.counts[order], segment, start
+
+
+def _solve_block(model, tensor, mode, config):
+    return mm_poisson_regression_group(
+        *block_design(model, tensor, mode),
+        beta=config.shrinkage_strength(tensor.nnz),
+        epsilon=config.epsilon,
+        tol=config.inner_tol,
+        max_iter=config.max_inner,
+    )
+
+
 def update_scores(
     model: CpBtdModel, tensor: SparseCountTensor, config: SolverConfig
 ) -> tuple[CpBtdModel, int]:
@@ -331,28 +371,10 @@ def update_scores(
 
     The replicate subproblems are independent Poisson regressions on
     the sampled design rows; with shrinkage on they share the log-sum
-    penalty over each term's row of scores.  Row j of the design is the
-    Hadamard product of factor rows at the j-th entry in replicate
-    order, mixed through the block-diagonal weight matrix.
+    penalty over each term's row of scores.
     """
-    order = tensor.mode_order(tensor.ndim - 1)
-    idx = tensor.indices[order]
-    cells, inverse = tensor.cell_groups()
-    mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
-    design = mixed[inverse[order]]
-    beta = config.shrinkage_strength(tensor.nnz)
-    ups, sweeps = mm_poisson_regression_group(
-        design,
-        tensor.counts[order],
-        idx[:, -1],
-        model.upsilon,
-        beta=beta,
-        epsilon=config.epsilon,
-        tol=config.inner_tol,
-        max_iter=config.max_inner,
-    )
     out = model.copy()
-    out.upsilon = ups
+    out.upsilon, sweeps = _solve_block(model, tensor, tensor.ndim - 1, config)
     return out, sweeps
 
 
@@ -370,45 +392,21 @@ def update_mode(
     """
     if not 0 <= mode < model.n_modes:
         raise ValueError("mode out of range")
-    usage = model.term_usage()
-    blocks = model.block_of_component()
-    tau = model.component_scale()
-    safe = np.where(usage > 0, usage, 1.0)
-    psi = (model.upsilon / safe[:, None])[blocks].T
-    psi[:, usage[blocks] <= 0] = 0.0
-
-    # Entries grouped by this mode's index; factor ``mode`` is left out
-    # of the Hadamard product since its rows are the unknowns.
-    order = tensor.mode_order(mode)
-    idx = tensor.indices[order]
-    cells, inverse = tensor.cell_groups()
-    rows = factor_rows(cells, model.factors, skip=mode)
-    design = rows[inverse[order]] * psi[idx[:, -1]]
-    beta = config.shrinkage_strength(tensor.nnz)
-    start = (model.factors[mode] * tau).T
-    mass_form, sweeps = mm_poisson_regression_group(
-        design,
-        tensor.counts[order],
-        idx[:, mode],
-        start,
-        beta=beta,
-        epsilon=config.epsilon,
-        tol=config.inner_tol,
-        max_iter=config.max_inner,
-    )
+    mass_form, sweeps = _solve_block(model, tensor, mode, config)
     a = mass_form.T
     rho = a.sum(axis=0)
     out = model.copy()
     active = rho > DEAD_FLOOR
     out.factors[mode][:, active] = a[:, active] / rho[active]
-    for h in range(model.n_terms):
-        blk = model.block(h)
-        mass = float(rho[blk].sum())
-        if mass > 0 and usage[h] > 0:
-            out.omega[blk] = rho[blk] / mass
-            out.upsilon[h, :] = model.upsilon[h, :] * (mass / usage[h])
-        else:
-            out.upsilon[h, :] = 0.0
+    usage = model.term_usage()
+    mass = model.term_sums(rho)
+    live = (mass > 0) & (usage > 0)
+    blocks = model.block_of_component()
+    out.omega = np.where(
+        live[blocks], rho / np.where(live, mass, 1.0)[blocks], model.omega
+    )
+    scale = np.where(live, mass / np.where(live, usage, 1.0), 0.0)
+    out.upsilon = model.upsilon * scale[:, None]
     return out, sweeps
 
 
@@ -436,6 +434,11 @@ def penalized_objective(
     return f + beta * pen
 
 
+def _settled(trace: list[float], tol: float) -> bool:
+    """Outer stopping rule: the last step's relative objective drop."""
+    return abs(trace[-2] - trace[-1]) < tol * max(1.0, abs(trace[-2]))
+
+
 def fit_block_gs(
     tensor: SparseCountTensor, config: SolverConfig
 ) -> tuple[CpBtdModel, FitReport]:
@@ -445,23 +448,20 @@ def fit_block_gs(
     not increase; rejected blocks keep the previous state, so the
     report trace is nonincreasing no matter how the per-block
     penalties interact.  Runs until the relative objective change
-    drops below ``outer_tol`` or ``max_outer`` is reached.  A block
-    update that fails numerically, or a non-finite objective, raises
-    SolverError carrying the partial report.
+    drops below ``outer_tol``, a sweep accepts no block, or
+    ``max_outer`` is reached.  A block update that fails numerically,
+    or a non-finite objective, raises SolverError carrying the partial
+    report.
     """
     if tensor.total <= 0:
         raise ValueError("cannot fit an empty tensor")
     t0 = time.perf_counter()
     model = initialize(config, tensor.shape, float(tensor.total))
     beta = config.shrinkage_strength(tensor.nnz)
-
-    def monitored(m):
-        return penalized_objective(m, tensor, beta, config.epsilon)
-
-    current = monitored(model)
+    current = penalized_objective(model, tensor, beta, config.epsilon)
     trace = [current]
     inner_trace = [0]
-    eff_trace = [effective_terms(model, RANK_THRESHOLD)]
+    eff_trace = [effective_terms(model)]
     rejected = 0
     if not math.isfinite(current):
         raise SolverError(
@@ -469,15 +469,15 @@ def fit_block_gs(
         )
 
     def report(stop_reason="aborted"):
-        return _report("block-gs", trace, inner_trace, eff_trace,
-                       stop_reason, time.perf_counter() - t0, rejected)
+        return FitReport("block-gs", list(trace), list(inner_trace),
+                         list(eff_trace), time.perf_counter() - t0,
+                         rejected, stop_reason)
 
+    blocks = [(update_scores, ())]
+    blocks += [(update_mode, (p,)) for p in range(model.n_modes)]
     for _ in range(config.max_outer):
-        inner_total = 0
-        rejected_before = rejected
-
-        def attempt(update, *args):
-            nonlocal model, current, inner_total, rejected
+        inner_total = accepted = 0
+        for update, args in blocks:
             try:
                 trial, sweeps = update(model, tensor, *args, config)
             except ValueError as exc:
@@ -488,7 +488,7 @@ def fit_block_gs(
                     report=report(),
                 ) from exc
             inner_total += sweeps
-            value = monitored(trial)
+            value = penalized_objective(trial, tensor, beta, config.epsilon)
             if not math.isfinite(value):
                 raise SolverError(
                     "fit aborted on a non-finite objective",
@@ -497,34 +497,17 @@ def fit_block_gs(
                 )
             if value <= current:
                 model, current = trial, value
+                accepted += 1
             else:
                 rejected += 1
-
-        attempt(update_scores)
-        for p in range(model.n_modes):
-            attempt(update_mode, p)
         trace.append(current)
         inner_trace.append(inner_total)
-        eff_trace.append(effective_terms(model, RANK_THRESHOLD))
-        if rejected - rejected_before == 1 + model.n_modes:
+        eff_trace.append(effective_terms(model))
+        if not accepted:
             return model, report("stalled")
-        drop = abs(trace[-2] - trace[-1])
-        if drop < config.outer_tol * max(1.0, abs(trace[-2])):
+        if _settled(trace, config.outer_tol):
             return model, report("converged")
     return model, report("max_outer")
-
-
-def _report(backend, trace, inner, eff, stop_reason, duration, rejected=0):
-    return FitReport(
-        backend=backend,
-        objective=list(trace),
-        inner_iterations=list(inner),
-        effective_terms=list(eff),
-        converged=stop_reason == "converged",
-        duration=duration,
-        rejected_blocks=rejected,
-        stop_reason=stop_reason,
-    )
 
 
 def fit_em(
@@ -559,13 +542,13 @@ def fit_em(
     idx = tensor.indices
     cells, inverse = tensor.cell_groups()
     counts = tensor.counts.astype(np.float64)
-    current = objective(model, tensor)
-    trace = [current]
-    eff_trace = [effective_terms(model, RANK_THRESHOLD)]
+    trace = [objective(model, tensor)]
+    eff_trace = [effective_terms(model)]
 
     def report(stop_reason="aborted"):
-        return _report("em", trace, [0] + [1] * (len(trace) - 1),
-                       eff_trace, stop_reason, time.perf_counter() - t0)
+        return FitReport("em", list(trace), [0] + [1] * (len(trace) - 1),
+                         list(eff_trace), time.perf_counter() - t0,
+                         stop_reason=stop_reason)
 
     for _ in range(config.max_outer):
         base = factor_rows(cells, model.factors)[inverse]
@@ -598,18 +581,13 @@ def fit_em(
             live = col_mass > 0
             new[:, live] = numer[:, live] / col_mass[live]
             factors.append(new)
-        omega = model.omega.copy()
-        for h in range(model.n_terms):
-            blk = model.block(h)
-            mass = float(col_mass[blk].sum())
-            if mass > 0:
-                omega[blk] = col_mass[blk] / mass
+        mass = model.term_sums(col_mass)[blocks]
+        omega = np.where(
+            mass > 0, col_mass / np.where(mass > 0, mass, 1.0), model.omega
+        )
         model = CpBtdModel(ranks, factors, omega, ups)
-        value = objective(model, tensor)
-        trace.append(value)
-        eff_trace.append(effective_terms(model, RANK_THRESHOLD))
-        if abs(trace[-2] - trace[-1]) < config.outer_tol * max(
-            1.0, abs(trace[-2])
-        ):
+        trace.append(objective(model, tensor))
+        eff_trace.append(effective_terms(model))
+        if _settled(trace, config.outer_tol):
             return model, report("converged")
     return model, report("max_outer")

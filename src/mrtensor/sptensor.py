@@ -15,13 +15,8 @@ ever need its rows at observed cells, which are Hadamard products of
 factor rows (``factor_rows``).  Those rows depend only on the
 non-replicate cell, and ``cell_groups`` lists each distinct cell once
 with the cell of every stored entry, so the products are computed once
-per cell and gathered to the entries.
-
-A block update of the fit regresses the counts of every value of one
-mode at once.  It takes the stored entries in ``mode_order(mode)``,
-the stable permutation that groups them by that mode's index, builds
-one design row per entry, and hands the solver the sorted mode indices
-as segment ids: rows sharing a segment share a coefficient column.
+per cell and gathered to the entries.  ``mode_order`` groups the stored
+entries by one mode's index, the layout of a block update's design.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ class SparseCountTensor:
     shape: tuple[int, ...]
     indices: np.ndarray
     counts: np.ndarray
-    _mode_groups: dict = field(init=False, repr=False, default_factory=dict)
+    _mode_orders: dict = field(init=False, repr=False, default_factory=dict)
     _cells: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -118,13 +113,11 @@ class SparseCountTensor:
         """
         if not 0 <= mode < self.ndim:
             raise ValueError("mode out of range")
-        if mode not in self._mode_groups:
-            order = np.argsort(self.indices[:, mode], kind="stable")
-            bounds = np.searchsorted(
-                self.indices[order, mode], np.arange(self.shape[mode] + 1)
+        if mode not in self._mode_orders:
+            self._mode_orders[mode] = np.argsort(
+                self.indices[:, mode], kind="stable"
             )
-            self._mode_groups[mode] = (order, bounds)
-        return self._mode_groups[mode][0]
+        return self._mode_orders[mode]
 
     def cell_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """(cells, inverse): the distinct non-replicate cells, ascending,
@@ -139,14 +132,6 @@ class SparseCountTensor:
             new[1:] = (np.diff(lead, axis=0) != 0).any(axis=1)
             self._cells = (lead[new], np.cumsum(new) - 1)
         return self._cells
-
-    def mode_slice_rows(self, mode: int, value: int) -> np.ndarray:
-        """Positions of the stored entries with indices[:, mode] == value."""
-        order = self.mode_order(mode)
-        if not 0 <= value < self.shape[mode]:
-            raise ValueError("value out of range")
-        bounds = self._mode_groups[mode][1]
-        return order[bounds[value] : bounds[value + 1]]
 
     def densify(self) -> np.ndarray:
         """Dense counts; guarded by the cell cap."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mrtensor import solver
+from mrtensor.analysis import rank_motifs
 from mrtensor.cli import main, parse_config
 from mrtensor.model import read_model
 from mrtensor.solver import read_report
@@ -158,6 +159,23 @@ class TestFit:
         assert code == 0
         assert read_model(model).n_terms == 2
 
+    def test_out_of_range_knob_exits_two(self, tmp_path, events_csv, capsys):
+        tensor = tmp_path / "t.txt"
+        main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
+        code = main([
+            "fit", str(tensor), "--max-inner", "0",
+            "--out", str(tmp_path / "m.txt"),
+        ])
+        assert code == 2
+        assert "iteration caps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--inner-tol"])
+    def test_fixed_constants_have_no_flag(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["fit", str(tmp_path / "t.txt"), flag, "1e-3",
+                  "--out", str(tmp_path / "m.txt")])
+        assert info.value.code == 2
+
 
 class TestConfigParser:
     def test_parses_types(self, tmp_path):
@@ -172,7 +190,8 @@ class TestConfigParser:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        for text in ("terms = 4\n", "global_observations = 1000\n"):
+        for text in ("terms = 4\n", "global_observations = 1000\n",
+                     "epsilon = 1e-3\n", "inner_tol = 1e-3\n"):
             path.write_text(text)
             with pytest.raises(ValueError, match="unknown key"):
                 parse_config(path)
@@ -184,6 +203,12 @@ class TestConfigParser:
             parse_config(path)
 
 
+def top_motif(model_path) -> int:
+    # The fixture's two terms tie in exact arithmetic, so the top one
+    # is whichever rounding favors; take it from the ranking.
+    return rank_motifs(read_model(model_path))[0][0] + 1
+
+
 class TestMotifs:
     def test_writes_csv_and_svg_per_scale(
         self, tmp_path, fitted_model, capsys
@@ -193,14 +218,15 @@ class TestMotifs:
             "motifs", str(fitted_model), "--top", "1", "--out", str(outdir),
         ])
         assert code == 0
+        top = top_motif(fitted_model)
         names = sorted(p.name for p in outdir.iterdir())
         assert names == [
-            "motif_1_scale_1.csv",
-            "motif_1_scale_1.svg",
-            "motif_1_scale_2.csv",
-            "motif_1_scale_2.svg",
+            f"motif_{top}_scale_1.csv",
+            f"motif_{top}_scale_1.svg",
+            f"motif_{top}_scale_2.csv",
+            f"motif_{top}_scale_2.svg",
         ]
-        assert "motif=1" in capsys.readouterr().out
+        assert f"motif={top} " in capsys.readouterr().out
 
     def test_scale_subset(self, tmp_path, fitted_model):
         outdir = tmp_path / "motifs"
@@ -209,8 +235,10 @@ class TestMotifs:
             "--scales", "2", "--out", str(outdir),
         ])
         assert code == 0
+        top = top_motif(fitted_model)
         names = sorted(p.name for p in outdir.iterdir())
-        assert names == ["motif_1_scale_2.csv", "motif_1_scale_2.svg"]
+        assert names == [f"motif_{top}_scale_2.csv",
+                         f"motif_{top}_scale_2.svg"]
 
     def test_overlong_top_warns(self, tmp_path, fitted_model, capsys):
         code = main([

@@ -63,6 +63,18 @@ class TestContainer:
             [[0.3, 0.0], [0.7, 0.0], [0.0, 1.0]],
         )
 
+    @pytest.mark.parametrize("ranks", [(3,) * 6, (1, 9, 2, 9, 17, 1, 4)])
+    def test_term_sums_match_per_block_sums_bitwise(self, ranks):
+        # Ranks past 8 reach NumPy's pairwise summation; the per-block
+        # loop is the reference.
+        rng = np.random.default_rng(len(ranks))
+        m = random_model(rng, (2,), ranks, 1)
+        values = rng.uniform(size=m.total_rank) * 10.0 ** rng.integers(
+            -12, 12, size=m.total_rank
+        )
+        want = [values[m.block(h)].sum() for h in range(m.n_terms)]
+        assert np.array_equal(m.term_sums(values), want)
+
     def test_usage_and_component_scale(self):
         m = tiny_model()
         np.testing.assert_allclose(m.term_usage(), [10.0, 5.0])

@@ -41,6 +41,33 @@ def small_config(**kw):
     return SolverConfig(**base)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(n_terms=0),
+        dict(rank=0),
+        dict(n_terms=2, rank=(1, 2, 1)),
+        dict(n_terms=2, rank=(1, 0)),
+        dict(beta=-1e-3),
+        dict(max_outer=-1),
+        dict(max_inner=0),
+        dict(outer_tol=0.0),
+        dict(outer_tol=-1e-8),
+    ])
+    def test_rejects_out_of_range(self, kw):
+        with pytest.raises(ValueError):
+            SolverConfig(**kw)
+
+    def test_fixed_constants_are_not_fields(self):
+        # The penalty offset and the inner tolerance are constants:
+        # readable on every config, but not settable.
+        assert SolverConfig().epsilon == 1e-8
+        assert SolverConfig().inner_tol == 1e-6
+        with pytest.raises(TypeError):
+            SolverConfig(epsilon=1e-3)
+        with pytest.raises(TypeError):
+            SolverConfig(inner_tol=1e-3)
+
+
 class TestInitialize:
     def test_shapes_and_stochasticity(self):
         cfg = SolverConfig(n_terms=3, rank=(1, 2, 1), seed=4)
@@ -79,7 +106,7 @@ class TestBlockUpdates:
         assert objective(updated, t) <= before + 1e-10
         # Per-replicate mass matches the data after a full solve.
         for n in range(t.shape[-1]):
-            rep_total = t.counts[t.mode_slice_rows(t.ndim - 1, n)].sum()
+            rep_total = t.counts[t.indices[:, -1] == n].sum()
             assert updated.upsilon[:, n].sum() == pytest.approx(
                 float(rep_total), rel=1e-10
             )
@@ -190,6 +217,17 @@ class TestFitBlockGs:
         assert report.converged
         assert report.stop_reason == "converged"
         assert report.effective_terms[-1] == effective_terms(model)
+
+    def test_stops_at_first_small_relative_drop(self):
+        rng = np.random.default_rng(77)
+        t = random_tensor(rng)
+        _, report = fit_block_gs(
+            t, small_config(max_outer=500, outer_tol=1e-9)
+        )
+        obj = report.objective
+        drops = [abs(a - b) / max(1.0, abs(a)) for a, b in zip(obj, obj[1:])]
+        assert report.stop_reason == "converged"
+        assert drops[-1] < 1e-9 <= min(drops[:-1])
 
     def test_all_rejected_sweep_stalls(self, monkeypatch):
         # Every block returns a worse trial, so the first sweep rejects
@@ -330,8 +368,8 @@ class TestReports:
             objective=[10.0, 4.0, 3.5],
             inner_iterations=[0, 12, 9],
             effective_terms=[5, 4, 3],
-            converged=True,
             duration=0.25,
+            stop_reason="converged",
         )
         path = tmp_path / "r.csv"
         write_report(report, path)
@@ -347,8 +385,9 @@ class TestReports:
             read_report(path)
 
     def test_outer_iterations_counts_steps(self):
-        report = FitReport("em", [5.0, 4.0], [0, 1], [2, 2], False, 0.0)
+        report = FitReport("em", [5.0, 4.0], [0, 1], [2, 2], 0.0)
         assert report.outer_iterations == 1
+        assert not report.converged
 
     def test_solver_error_carries_state(self):
         err = SolverError("boom", model="m", report="r")

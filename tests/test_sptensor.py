@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrtensor.model import CpBtdModel, intensity_at
+from mrtensor.solver import block_design
 from mrtensor.sptensor import (
     FORMAT_HEADER,
     SparseCountTensor,
@@ -87,17 +88,20 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="duplicate"):
             SparseCountTensor((2, 2), idx, np.array([1, 1]))
 
-    def test_mode_slice_rows_brute_force(self):
+    def test_mode_order_brute_force(self):
+        # Stable: each value's entries keep their canonical order.
         rng = np.random.default_rng(3)
         idx = np.unique(rng.integers(0, 4, size=(60, 3)), axis=0)
         t = SparseCountTensor.from_entries(
             (4, 4, 4), idx, np.ones(len(idx), dtype=int)
         )
         for mode in range(3):
+            order = t.mode_order(mode)
+            values = t.indices[order, mode]
             for value in range(4):
-                rows = t.mode_slice_rows(mode, value)
                 expect = np.flatnonzero(t.indices[:, mode] == value)
-                np.testing.assert_array_equal(np.sort(rows), expect)
+                np.testing.assert_array_equal(order[values == value], expect)
+            np.testing.assert_array_equal(values, np.sort(values))
 
     def test_densify_matches_scatter(self):
         t = small_tensor()
@@ -164,24 +168,14 @@ class TestDesignRows:
 
     @staticmethod
     def _check_block_design(model, t, mode):
-        # The block's segmented design, built as the solver builds it:
-        # row j times its segment's coefficients is the intensity at
-        # stored entry order[j].
+        # The solver's segmented design: row j times its segment's
+        # starting coefficients is the intensity at stored entry
+        # order[j], and its count is that entry's count.
         order = t.mode_order(mode)
-        rows = t.indices[order]
-        segment = rows[:, mode]
+        design, counts, segment, coef = block_design(model, t, mode)
+        np.testing.assert_array_equal(counts, t.counts[order])
+        np.testing.assert_array_equal(segment, t.indices[order, mode])
         assert (np.diff(segment) >= 0).all()
-        cells, inverse = t.cell_groups()
-        if mode == t.ndim - 1:
-            mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
-            design = mixed[inverse[order]]
-            coef = model.upsilon
-        else:
-            usage = model.term_usage()
-            psi = (model.upsilon / usage[:, None])[model.block_of_component()].T
-            design = factor_rows(cells, model.factors, skip=mode)
-            design = design[inverse[order]] * psi[rows[:, -1]]
-            coef = (model.factors[mode] * model.component_scale()).T
         lam = np.einsum("jk,kj->j", design, coef[:, segment])
         for j, row in enumerate(order):
             cell, rep = t.indices[row][:-1], int(t.indices[row][-1])

@@ -34,9 +34,7 @@ from .encode import (
 from .ingest import (
     EventTable,
     FieldGeometry,
-    PassEvent,
     Replicate,
-    exposure_factors,
     parse_events,
     team_minutes,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "FitReport",
     "MotifView",
     "MultiIndex",
-    "PassEvent",
     "Replicate",
     "ScoreSummary",
     "SolverConfig",
@@ -101,7 +98,6 @@ __all__ = [
     "effective_rank",
     "effective_terms",
     "encode_event",
-    "exposure_factors",
     "fit_block_gs",
     "fit_em",
     "fold_to_multiindex",

@@ -14,7 +14,10 @@ that tile indices at any dyadic scale stay in range.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,17 +53,6 @@ class Replicate:
     replicate_id: str
     team: str
     minutes: float
-
-
-@dataclass(frozen=True)
-class PassEvent:
-    """A single standardized pass: coordinates in [0, 1)."""
-
-    replicate_id: str
-    x_o: float
-    y_o: float
-    x_d: float
-    y_d: float
 
 
 @dataclass
@@ -112,12 +104,6 @@ class EventTable:
     def n_replicates(self) -> int:
         return len(self.replicates)
 
-    def events(self):
-        """Iterate events as PassEvent views (presentation order)."""
-        for k in range(self.n_events):
-            rid = self.replicates[int(self.replicate_index[k])].replicate_id
-            yield PassEvent(rid, *self.coords[k])
-
 
 def _standardize_axis(values, size, label):
     v = np.asarray(values, dtype=np.float64)
@@ -138,69 +124,107 @@ def _standardize_axis(values, size, label):
 def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     """Parse a pass-event CSV into a standardized EventTable.
 
-    ``source`` is a path or a text file object with header
-    ``replicate_id,team,minutes,x_o,y_o,x_d,y_d`` and physical
-    coordinates.  If the geometry says the data attack right-to-left,
-    the x axis is mirrored so every parsed table attacks left-to-right.
+    ``source`` is a path or a text file object.  Its header names the
+    columns ``replicate_id,team,minutes,x_o,y_o,x_d,y_d`` (physical
+    coordinates) in any order; other columns are ignored, and a name
+    given twice means its last column.  Fields are comma-separated and
+    may be double-quoted to hold commas, newlines or doubled quotes.
+    Blank lines are skipped; there is no comment character, so a field
+    may start with ``#``.  Numbers are read by Python's ``float``
+    (``" 5 "`` and ``1_0`` included).  If the geometry says the data
+    attack right-to-left, the x axis is mirrored so every parsed table
+    attacks left-to-right.
 
-    Raises ValueError on missing columns, non-positive minutes,
-    conflicting metadata for one replicate_id, or coordinates outside
-    the field beyond tolerance.
+    Raises ValueError on missing columns, a malformed row (too short,
+    or a number ``float`` rejects), non-positive minutes, conflicting
+    metadata for one replicate_id, or coordinates outside the field
+    beyond tolerance.  A row error names ``line N``: the header is
+    line 1 and each non-blank row one more.
     """
     geometry = geometry or FieldGeometry()
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", newline="") as handle:
             return parse_events(handle, geometry)
 
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    header = next(csv.reader(source), None)
+    if header is None:
         raise ValueError("empty source: no header row")
-    missing = [c for c in _COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in _COLUMNS if c not in header]
     if missing:
         raise ValueError(f"missing columns: {', '.join(missing)}")
+    column = {name: k for k, name in enumerate(header)}
+    usecols = [column[c] for c in _COLUMNS]
+    body = source.read()
+    read = functools.partial(np.loadtxt, delimiter=",", quotechar='"',
+                             comments=None, ndmin=2, encoding=None)
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns about blank lines and an empty body.
+            warnings.simplefilter("ignore", UserWarning)
+            labels = read(io.StringIO(body, newline=""), object,
+                          usecols=usecols[:2])
+            numbers = read(io.StringIO(body, newline=""), float,
+                           converters=float, usecols=usecols[2:])
+    except ValueError as exc:
+        # Only a malformed row fails the array read: re-scan to name it,
+        # unless an earlier row has another problem.
+        labels, numbers, error = _rescan(body, usecols)
+        _replicates(labels, numbers[:, 0])
+        raise (error or exc) from None
+    replicates, rep_idx = _replicates(labels, numbers[:, 0])
 
-    replicates: list[Replicate] = []
-    seen: dict[str, int] = {}
-    rep_idx: list[int] = []
-    raw = {c: [] for c in ("x_o", "y_o", "x_d", "y_d")}
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            rid = row["replicate_id"]
-            team = row["team"]
-            minutes = float(row["minutes"])
-            coords = {c: float(row[c]) for c in raw}
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: malformed row ({exc})") from None
-        if not (minutes > 0 and math.isfinite(minutes)):
-            raise ValueError(f"line {lineno}: minutes must be positive")
-        if rid in seen:
-            known = replicates[seen[rid]]
-            if known.team != team or known.minutes != minutes:
-                raise ValueError(
-                    f"line {lineno}: replicate {rid!r} redeclared with "
-                    "different team or minutes"
-                )
-        else:
-            seen[rid] = len(replicates)
-            replicates.append(Replicate(rid, team, minutes))
-        rep_idx.append(seen[rid])
-        for c in raw:
-            raw[c].append(coords[c])
-
-    xo = np.asarray(raw["x_o"], dtype=np.float64)
-    xd = np.asarray(raw["x_d"], dtype=np.float64)
+    xy, length = numbers[:, 1:], geometry.length
     if geometry.attack_direction == "right_to_left":
-        xo = geometry.length - np.clip(xo, 0.0, geometry.length)
-        xd = geometry.length - np.clip(xd, 0.0, geometry.length)
-    coords = np.column_stack(
-        [
-            _standardize_axis(xo, geometry.length, "x_o"),
-            _standardize_axis(raw["y_o"], geometry.width, "y_o"),
-            _standardize_axis(xd, geometry.length, "x_d"),
-            _standardize_axis(raw["y_d"], geometry.width, "y_d"),
-        ]
-    ) if rep_idx else np.empty((0, 4))
-    return EventTable(tuple(replicates), np.asarray(rep_idx, dtype=np.int64), coords)
+        xy[:, ::2] = length - np.clip(xy[:, ::2], 0.0, length)
+    sizes = (length, geometry.width) * 2
+    coords = np.column_stack([
+        _standardize_axis(xy[:, k], sizes[k], _COLUMNS[3 + k])
+        for k in range(4)
+    ])
+    return EventTable(replicates, rep_idx, coords)
+
+
+def _rescan(body: str, usecols: list[int]):
+    """(labels, numbers, error): ``body`` read one csv row at a time up
+    to its first malformed row, and the ValueError naming it or None."""
+    labels, numbers, error = [], [], None
+    rows = (row for row in csv.reader(io.StringIO(body, newline="")) if row)
+    for lineno, row in enumerate(rows, start=2):
+        cells = [row[k] if k < len(row) else None for k in usecols]
+        try:
+            values = [float(cell) for cell in cells[2:]]
+            if None in cells[:2]:
+                raise ValueError(f"no {_COLUMNS[cells.index(None)]} cell")
+        except (TypeError, ValueError) as exc:
+            error = ValueError(f"line {lineno}: malformed row ({exc})")
+            break
+        labels.append(cells[:2])
+        numbers.append(values)
+    labels = np.array(labels, dtype=object).reshape(-1, 2)
+    return labels, np.array(numbers).reshape(-1, 5), error
+
+
+def _replicates(labels: np.ndarray, minutes: np.ndarray):
+    """(replicates, replicate_index) in first-appearance order; raises
+    at the first row with minutes not positive and finite, or with team
+    or minutes unlike its replicate's first row."""
+    ids, teams = labels[:, 0], labels[:, 1]
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    first, index = first[order], np.argsort(order)[inverse]
+    head = first[index]
+    bad_minutes = ~((minutes > 0) & np.isfinite(minutes))
+    bad = bad_minutes | (teams != teams[head]) | (minutes != minutes[head])
+    if bad.any():
+        k = int(bad.argmax())
+        if bad_minutes[k]:
+            raise ValueError(f"line {k + 2}: minutes must be positive")
+        raise ValueError(
+            f"line {k + 2}: replicate {ids[k]!r} redeclared with "
+            "different team or minutes"
+        )
+    reps = map(Replicate, ids[first], teams[first], minutes[first].tolist())
+    return tuple(reps), index
 
 
 def team_minutes(table: EventTable) -> dict[str, float]:
@@ -209,27 +233,6 @@ def team_minutes(table: EventTable) -> dict[str, float]:
     for rep in table.replicates:
         totals[rep.team] = totals.get(rep.team, 0.0) + rep.minutes
     return totals
-
-
-def exposure_factors(
-    table: EventTable, reference_minutes: float | None = None
-) -> dict[str, float]:
-    """Per-replicate exposure rescaling factors.
-
-    The factor for a replicate is ``reference_minutes / minutes``, so
-    multiplying a replicate's pass counts by its factor expresses them
-    per a common amount of playing time.  The reference defaults to the
-    mean of total minutes across distinct teams.
-    """
-    if not table.replicates:
-        raise ValueError("table has no replicates")
-    reference_minutes = _reference_minutes(
-        team_minutes(table), reference_minutes
-    )
-    return {
-        rep.replicate_id: reference_minutes / rep.minutes
-        for rep in table.replicates
-    }
 
 
 def _reference_minutes(

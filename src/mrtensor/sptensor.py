@@ -153,8 +153,9 @@ def write_tensor(tensor: SparseCountTensor, path) -> None:
             f"{FORMAT_HEADER} modes={tensor.ndim} shape={shape} "
             f"nnz={tensor.nnz}\n"
         )
-        for row, c in zip(tensor.indices + 1, tensor.counts):
-            handle.write(" ".join(str(v) for v in row) + f" {c}\n")
+        line = " ".join(["%d"] * (tensor.ndim + 1)) + "\n"
+        rows = np.column_stack([tensor.indices + 1, tensor.counts])
+        handle.write(line * tensor.nnz % tuple(rows.ravel().tolist()))
 
 
 def read_tensor(path) -> SparseCountTensor:
@@ -181,8 +182,7 @@ def read_tensor(path) -> SparseCountTensor:
             f"expected {nnz} entry lines of {modes + 1} fields, "
             f"found shape {rows.shape}"
         )
-    tensor = SparseCountTensor(shape, rows[:, :modes] - 1, rows[:, modes])
-    return tensor
+    return SparseCountTensor(shape, rows[:, :modes] - 1, rows[:, modes])
 
 
 def factor_rows(

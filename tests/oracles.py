@@ -5,6 +5,9 @@ and direct formula evaluation.  None of it shares code with the
 package beyond numpy itself.
 """
 
+import csv
+import math
+
 import numpy as np
 
 
@@ -95,3 +98,96 @@ def random_segmented_instance(rng, n_columns=5, max_rows=6, k=3):
     counts = rng.integers(1, 11, size=len(segment)).astype(np.float64)
     start = rng.uniform(0.5, 2.0, size=(k, n_columns))
     return design, counts, segment, start
+
+
+EVENT_COLUMNS = ("replicate_id", "team", "minutes", "x_o", "y_o", "x_d", "y_d")
+
+
+def _standardize_axis_rows(values, size, label):
+    v = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError(f"non-finite {label} coordinate")
+    bad = (v < -1e-6) | (v > size + 1e-6)
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"{label} coordinate {v[j]!r} outside [0, {size}] "
+            "beyond tolerance 1e-06"
+        )
+    u = np.clip(v, 0.0, size) / size
+    return np.minimum(u, np.nextafter(1.0, 0.0))
+
+
+def parse_events_rows(source, geometry):
+    """The events CSV read one ``csv.DictReader`` row at a time.
+
+    Returns (replicates, replicate_index, coords) with replicates as
+    (replicate_id, team, minutes) tuples in first-appearance order, or
+    raises ValueError with the package's messages.  ``geometry`` needs
+    only ``length``, ``width`` and ``attack_direction``.  A row too
+    short to hold its replicate_id or team is malformed.
+    """
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None:
+        raise ValueError("empty source: no header row")
+    missing = [c for c in EVENT_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"missing columns: {', '.join(missing)}")
+
+    replicates = []
+    seen = {}
+    rep_idx = []
+    raw = {c: [] for c in ("x_o", "y_o", "x_d", "y_d")}
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            rid = row["replicate_id"]
+            team = row["team"]
+            minutes = float(row["minutes"])
+            coords = {c: float(row[c]) for c in raw}
+            for name, cell in (("replicate_id", rid), ("team", team)):
+                if cell is None:
+                    raise ValueError(f"no {name} cell")
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: malformed row ({exc})") from None
+        if not (minutes > 0 and math.isfinite(minutes)):
+            raise ValueError(f"line {lineno}: minutes must be positive")
+        if rid in seen:
+            known = replicates[seen[rid]]
+            if known[1] != team or known[2] != minutes:
+                raise ValueError(
+                    f"line {lineno}: replicate {rid!r} redeclared with "
+                    "different team or minutes"
+                )
+        else:
+            seen[rid] = len(replicates)
+            replicates.append((rid, team, minutes))
+        rep_idx.append(seen[rid])
+        for c in raw:
+            raw[c].append(coords[c])
+
+    length, width = geometry.length, geometry.width
+    xo = np.asarray(raw["x_o"], dtype=np.float64)
+    xd = np.asarray(raw["x_d"], dtype=np.float64)
+    if geometry.attack_direction == "right_to_left":
+        xo = length - np.clip(xo, 0.0, length)
+        xd = length - np.clip(xd, 0.0, length)
+    coords = np.column_stack(
+        [
+            _standardize_axis_rows(xo, length, "x_o"),
+            _standardize_axis_rows(raw["y_o"], width, "y_o"),
+            _standardize_axis_rows(xd, length, "x_d"),
+            _standardize_axis_rows(raw["y_d"], width, "y_d"),
+        ]
+    ) if rep_idx else np.empty((0, 4))
+    return replicates, np.asarray(rep_idx, dtype=np.int64), coords
+
+
+def write_tensor_rows(tensor, handle):
+    """The ``mrtensor v1`` text form written one entry line at a time."""
+    shape = ",".join(str(d) for d in tensor.shape)
+    handle.write(
+        f"mrtensor v1 modes={len(tensor.shape)} shape={shape} "
+        f"nnz={len(tensor.counts)}\n"
+    )
+    for row, c in zip(tensor.indices.tolist(), tensor.counts.tolist()):
+        handle.write(" ".join(str(v + 1) for v in row) + f" {c}\n")

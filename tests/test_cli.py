@@ -61,6 +61,26 @@ class TestEncode:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("row, message", [
+        ("m1,alpha,96,10\x00,10,50,40",
+         "line 3: malformed row (could not convert string to float: "
+         "'10\\x00')"),
+        ('"m1,alpha,96,10,10,50,40',
+         "line 3: malformed row (float() argument must be a string or a "
+         "real number, not 'NoneType')"),
+    ], ids=["nul byte", "unclosed quote"])
+    def test_nul_byte_or_unclosed_quote_exits_two(
+        self, tmp_path, capsys, row, message
+    ):
+        events = tmp_path / "events.csv"
+        lines = EVENTS.splitlines()
+        events.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        code = main(["encode", str(events), "-S", "1",
+                     "--out", str(tmp_path / "t.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not (tmp_path / "t.txt").exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = main([
             "encode", str(tmp_path / "nope.csv"), "-S", "1",

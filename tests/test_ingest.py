@@ -1,19 +1,25 @@
-"""Parsing, standardization, and exposure bookkeeping."""
+"""Parsing, standardization, and exposure bookkeeping.
+
+The array parser is checked against ``oracles.parse_events_rows``, which
+reads the same text one ``csv.DictReader`` row at a time.
+"""
 
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrtensor.ingest import (
     EventTable,
     FieldGeometry,
     Replicate,
-    exposure_factors,
+    _reference_minutes,
     parse_events,
     team_minutes,
 )
+from oracles import EVENT_COLUMNS, parse_events_rows
 
 BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -52,13 +58,13 @@ class TestParsing:
         table = parse_events(make_csv(["m1,a,90,25,25,75,25"]), geom)
         np.testing.assert_allclose(table.coords[0], [0.25, 0.5, 0.75, 0.5])
 
-    def test_events_iterator_matches_rows(self):
+    def test_event_rows_match_csv_rows(self):
         table = parse_events(
             make_csv(["m1,a,90,10,10,50,40", "m2,b,45,20,30,60,50"])
         )
-        events = list(table.events())
-        assert [e.replicate_id for e in events] == ["m1", "m2"]
-        assert events[1].x_d == pytest.approx(60 / 115)
+        ids = [table.replicates[k].replicate_id for k in table.replicate_index]
+        assert ids == ["m1", "m2"]
+        assert table.coords[1, 2] == pytest.approx(60 / 115)
 
     def test_replicate_with_no_events_is_not_representable_by_csv(self):
         # The CSV format only declares replicates through their events,
@@ -174,9 +180,9 @@ class TestExposure:
                 ]
             )
         )
-        factors = exposure_factors(table, reference_minutes=384.875)
-        assert factors["m1"] == pytest.approx(1.0)
-        assert factors["m2"] == pytest.approx(0.5)
+        reference = _reference_minutes(team_minutes(table), 384.875)
+        factors = [reference / rep.minutes for rep in table.replicates]
+        assert factors == pytest.approx([1.0, 0.5])
 
     def test_default_reference_is_mean_team_total(self):
         table = parse_events(
@@ -189,12 +195,172 @@ class TestExposure:
             )
         )
         # Team totals are 200 and 100, so the reference is 150.
-        factors = exposure_factors(table)
-        assert factors["m1"] == pytest.approx(1.5)
-        assert factors["m3"] == pytest.approx(1.5)
+        reference = _reference_minutes(team_minutes(table), None)
+        assert reference / table.replicates[0].minutes == pytest.approx(1.5)
+        assert reference / table.replicates[2].minutes == pytest.approx(1.5)
 
     def test_bad_reference(self):
         table = parse_events(make_csv(["m1,a,90,10,10,50,40"]))
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
-                exposure_factors(table, reference_minutes=bad)
+                _reference_minutes(team_minutes(table), bad)
+
+
+# Cell texts the generator mixes: ids with commas, quotes, embedded
+# newlines, a leading '#', padding or a NUL; numbers float() rejects;
+# junk for columns the parser ignores.
+IDS = ["m1", "m2", "#m3", "a,b", 'q"q', "x\ny", "r\r\ns", " m4 ", "", "é\x00"]
+TEAMS = ["alpha", "beta", "#g", "c,d", " e "]
+MINUTES = [90.0, 96.5, 45.0, 1e-3]
+BAD_MINUTES = [0.0, -1.0, float("nan"), float("inf")]
+BAD_CELLS = ["oops", "", "1x", "1__0", "5\x00", "0x10", "--1"]
+JUNK = ["", "x", "#c", '"', "1,2", "note\nmore"]
+# Coordinates as fractions of the field: edges, and just past them
+# within and beyond the boundary tolerance.
+EDGES = [0.0, 1.0, 1.0 + 4e-9, -4e-9]
+OUTSIDE = [1.001, -0.01]
+FAULTS = [None] * 4 + [
+    "missing column", "bad minutes", "conflict", "outside field",
+    "bad cell", "short row", "unclosed quote", "whitespace line",
+]
+
+
+def _number_text(draw, value):
+    """One spelling of ``value`` that float() reads back exactly."""
+    text = repr(value)
+    style = draw(st.sampled_from(["repr", "padded", "underscore", "int"]))
+    if style == "padded":
+        return f" {text} "
+    if style == "underscore" and text[:2].isdigit():
+        return text[0] + "_" + text[1:]
+    if style == "int" and math.isfinite(value) and value == int(value):
+        return str(int(value))
+    return text
+
+
+def _field(draw, text):
+    """CSV spelling of one cell: quoted when it must be, or at random."""
+    if any(c in text for c in ',"\r\n') or draw(st.integers(0, 5)) == 0:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def events_files(draw):
+    """Events CSV text: columns reordered and padded with extra or
+    repeated names, LF or CRLF rows, blank lines, and up to two faults."""
+    faults = draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2))
+    columns = list(EVENT_COLUMNS)
+    if "missing column" in faults:
+        columns.remove(draw(st.sampled_from(columns)))
+    extra = draw(st.lists(st.sampled_from(["note", "team", "x_o"]), max_size=2))
+    header = draw(st.permutations(columns + extra))
+    replicates = draw(st.lists(
+        st.tuples(st.sampled_from(IDS), st.sampled_from(TEAMS),
+                  st.sampled_from(MINUTES)),
+        min_size=1, max_size=3, unique_by=lambda rep: rep[0],
+    ))
+    if "bad minutes" in faults:
+        rid, team, _ = replicates.pop()
+        replicates.append((rid, team, draw(st.sampled_from(BAD_MINUTES))))
+    if "conflict" in faults:
+        replicates.append((replicates[0][0], draw(st.sampled_from(TEAMS)),
+                           draw(st.sampled_from(MINUTES))))
+
+    n_rows = draw(st.integers(0, 8) if faults == [None] else st.integers(1, 8))
+    row_of = {f: draw(st.integers(0, max(n_rows - 1, 0))) for f in faults}
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(_field(draw, name) for name in header)]
+    for k in range(n_rows):
+        fault = next((f for f in faults if row_of[f] == k), None)
+        rid, team, minutes = draw(st.sampled_from(replicates))
+        cells = {"replicate_id": rid, "team": team,
+                 "minutes": _number_text(draw, minutes)}
+        for name, size in zip(EVENT_COLUMNS[3:], (115.0, 74.0) * 2):
+            scaled = draw(st.one_of(st.floats(0.0, 1.0),
+                                    st.sampled_from(EDGES)))
+            cells[name] = _number_text(draw, scaled * size)
+        if fault == "outside field":
+            name = draw(st.sampled_from(EVENT_COLUMNS[3:]))
+            size = 74.0 if name.startswith("y") else 115.0
+            cells[name] = repr(draw(st.sampled_from(OUTSIDE)) * size)
+        row = [
+            _field(draw, cells[name] if name in cells
+                   else draw(st.sampled_from(JUNK)))
+            for name in header
+        ]
+        at = draw(st.integers(0, len(row) - 1))
+        if fault == "bad cell":
+            row[at] = _field(draw, draw(st.sampled_from(BAD_CELLS)))
+        elif fault == "short row":
+            row = row[:at]
+        elif fault == "unclosed quote":
+            row[at] = '"unclosed'
+        elif fault == "whitespace line":
+            lines.append("  ")
+        lines.append(",".join(row))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(parse, text, geometry):
+    try:
+        return parse(io.StringIO(text, newline=""), geometry)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _package(source, geometry):
+    table = parse_events(source, geometry)
+    reps = [(r.replicate_id, r.team, r.minutes) for r in table.replicates]
+    return reps, table.replicate_index, table.coords
+
+
+class TestAgainstRowOracle:
+    """Both parsers read the text as a file opened with newline=''."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        events_files(),
+        st.sampled_from([FieldGeometry(),
+                         FieldGeometry(attack_direction="right_to_left")]),
+    )
+    def test_same_table_or_same_message(self, text, geometry):
+        got = _outcome(_package, text, geometry)
+        want = _outcome(parse_events_rows, text, geometry)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        assert got[0] == want[0]
+        assert all(type(r[2]) is float for r in got[0])
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("text, message", [
+        ("m1,a,90,1,2,3,4\nm1,a,90,1,2,3\n",
+         "line 3: malformed row (float() argument must be a string or a "
+         "real number, not 'NoneType')"),
+        ("m1,a,90,1,2,3,4\n\nm1,a,90,1_0,2,3,4x\n",
+         "line 3: malformed row (could not convert string to float: '4x')"),
+        ('m1,a,90,1,2,3,4\n"m\n1",a,90,1,2,3,4\nm1,b,90,1,2,3,4\n',
+         "line 4: replicate 'm1' redeclared with different team or minutes"),
+        ("m1,a,0,1,2,3,4\nm1,a,90,oops,2,3,4\n",
+         "line 2: minutes must be positive"),
+    ], ids=["short row", "after blank line", "after quoted newline",
+            "earlier row first"])
+    def test_first_bad_row_is_named(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_events(make_csv([text.rstrip("\n")]))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            parse_events_rows(make_csv([text.rstrip("\n")]), FieldGeometry())
+        assert str(exc.value) == message
+
+    def test_row_without_team_cell_is_malformed(self):
+        src = "replicate_id,minutes,x_o,y_o,x_d,y_d,team\nm1,90,1,2,3,4\n"
+        for parse in (parse_events, parse_events_rows):
+            with pytest.raises(ValueError) as exc:
+                parse(io.StringIO(src), FieldGeometry())
+            assert str(exc.value) == "line 2: malformed row (no team cell)"

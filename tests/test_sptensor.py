@@ -5,6 +5,9 @@ dense reconstruction; the routes share no code path beyond the factor
 arrays.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from mrtensor.sptensor import (
     read_tensor,
     write_tensor,
 )
+from oracles import write_tensor_rows
 
 
 def small_tensor():
@@ -118,7 +122,37 @@ class TestCanonicalForm:
             t.densify()
 
 
+@st.composite
+def count_tensors(draw):
+    """Canonical tensors of 1-5 modes plus the replicate mode, nnz 0-40,
+    with multi-digit indices and counts."""
+    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=2, max_size=6)))
+    cell = st.tuples(*(st.integers(0, d - 1) for d in shape))
+    entries = draw(st.lists(cell, max_size=40, unique=True))
+    counts = draw(st.lists(st.integers(1, 2**40), min_size=len(entries),
+                           max_size=len(entries)))
+    idx = np.array(entries, dtype=np.int64).reshape(-1, len(shape))
+    return SparseCountTensor.from_entries(shape, idx, counts)
+
+
 class TestTensorFormat:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(count_tensors())
+    def test_bytes_match_row_writer_and_read_back(self, t):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, oracle = (os.path.join(tmp, n) for n in ("t.txt", "o.txt"))
+            write_tensor(t, path)
+            with open(oracle, "w") as handle:
+                write_tensor_rows(t, handle)
+            with open(path, "rb") as got, open(oracle, "rb") as want:
+                text = got.read()
+                assert text == want.read()
+            back = read_tensor(path)
+        assert text.count(b"\n") == t.nnz + 1
+        assert back.shape == t.shape
+        np.testing.assert_array_equal(back.indices, t.indices)
+        np.testing.assert_array_equal(back.counts, t.counts)
+
     def test_round_trip_exact(self, tmp_path):
         t = small_tensor()
         path = tmp_path / "t.txt"

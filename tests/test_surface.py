@@ -8,12 +8,12 @@ from mrtensor import SolverConfig
 
 PUBLIC_NAMES = [
     "CpBtdModel", "DissimilarityMatrix", "EventTable", "FieldGeometry",
-    "FitReport", "MotifView", "MultiIndex", "PassEvent", "Replicate",
+    "FitReport", "MotifView", "MultiIndex", "Replicate",
     "ScoreSummary", "SolverConfig", "SolverError", "SparseCountTensor",
     "adjacency_at_scale", "binary_code", "bray_curtis", "build_tensor",
     "chain_index", "cosine_similarity", "decode_binary_code",
     "dense_reconstruct", "dissimilarity_matrix", "effective_rank",
-    "effective_terms", "encode_event", "exposure_factors", "fit_block_gs",
+    "effective_terms", "encode_event", "fit_block_gs",
     "fit_em", "fold_to_multiindex", "initialize", "intensity_at",
     "marginalize_to_scale", "match_motifs", "mm_poisson_regression",
     "mm_poisson_regression_group", "motif_at_scale", "motif_view",

@@ -113,7 +113,7 @@ def _standardize_axis(values, size, label):
     if bad.any():
         j = int(np.flatnonzero(bad)[0])
         raise ValueError(
-            f"{label} coordinate {v[j]!r} outside [0, {size}] "
+            f"{label} coordinate {float(v[j])} outside [0, {size}] "
             f"beyond tolerance {_BOUNDARY_TOL}"
         )
     u = np.clip(v, 0.0, size) / size
@@ -136,17 +136,21 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     attacks left-to-right.
 
     Raises ValueError on missing columns, a malformed row (too short,
-    or a number ``float`` rejects), non-positive minutes, conflicting
-    metadata for one replicate_id, or coordinates outside the field
-    beyond tolerance.  A row error names ``line N``: the header is
-    line 1 and each non-blank row one more.
+    a number ``float`` rejects, or a field ``csv`` cannot read, such as
+    one longer than ``csv.field_size_limit()``), non-positive minutes,
+    conflicting metadata for one replicate_id, or coordinates outside
+    the field beyond tolerance.  A row error names ``line N``: the
+    header is line 1 and each non-blank row one more.
     """
     geometry = geometry or FieldGeometry()
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", newline="") as handle:
             return parse_events(handle, geometry)
 
-    header = next(csv.reader(source), None)
+    try:
+        header = next(csv.reader(source), None)
+    except csv.Error as exc:
+        raise ValueError(f"line 1: malformed row ({exc})") from None
     if header is None:
         raise ValueError("empty source: no header row")
     missing = [c for c in _COLUMNS if c not in header]
@@ -189,17 +193,22 @@ def _rescan(body: str, usecols: list[int]):
     to its first malformed row, and the ValueError naming it or None."""
     labels, numbers, error = [], [], None
     rows = (row for row in csv.reader(io.StringIO(body, newline="")) if row)
-    for lineno, row in enumerate(rows, start=2):
-        cells = [row[k] if k < len(row) else None for k in usecols]
-        try:
-            values = [float(cell) for cell in cells[2:]]
-            if None in cells[:2]:
-                raise ValueError(f"no {_COLUMNS[cells.index(None)]} cell")
-        except (TypeError, ValueError) as exc:
-            error = ValueError(f"line {lineno}: malformed row ({exc})")
-            break
-        labels.append(cells[:2])
-        numbers.append(values)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(rows, start=2):
+            cells = [row[k] if k < len(row) else None for k in usecols]
+            try:
+                values = [float(cell) for cell in cells[2:]]
+                if None in cells[:2]:
+                    raise ValueError(f"no {_COLUMNS[cells.index(None)]} cell")
+            except (TypeError, ValueError) as exc:
+                error = ValueError(f"line {lineno}: malformed row ({exc})")
+                break
+            labels.append(cells[:2])
+            numbers.append(values)
+    except csv.Error as exc:
+        # The reader failed on the row after the last one it returned.
+        error = ValueError(f"line {lineno + 1}: malformed row ({exc})")
     labels = np.array(labels, dtype=object).reshape(-1, 2)
     return labels, np.array(numbers).reshape(-1, 5), error
 

@@ -15,8 +15,8 @@ The objective only involves observations with positive counts, every
 sweep keeps the iterate nonnegative, and with a column-stochastic
 design the coefficient total is conserved at sum(x) on every sweep.
 Each column's rows form one contiguous span of the stacked design, and
-a sweep visits the spans in turn: a matrix-vector product gives their
-intensities and a weighted row sum their numerator.
+a sweep visits the spans in turn: one BLAS matrix-vector product (gemv)
+per span gives its intensities, and one more gives its numerator.
 
 Group shrinkage augments the objective with beta * sum_k log(group_k
 sum + epsilon), a concave log-sum penalty.  Majorizing the logs by
@@ -111,8 +111,10 @@ class FitReport:
     monitored objective: the Poisson deviance core plus, when
     shrinkage is on, the log-sum penalties of every block; it is
     nonincreasing by construction.  ``stop_reason`` is "converged",
-    "max_outer", "stalled" (a sweep accepted no block) or, in a
-    SolverError, "aborted".
+    "max_outer", "stalled" (a sweep accepted no block, and its worst
+    trial missed by more than the outer stopping rule allows) or, in a
+    SolverError, "aborted".  A sweep whose every trial misses by less
+    than that is a fixed point and ends "converged".
     """
 
     backend: str
@@ -204,12 +206,12 @@ def mm_poisson_regression_group(
     column with the reweighting held at the sweep's starting point; the
     penalized objective never increases from sweep to sweep.
     """
-    B = np.array(start, dtype=np.float64, copy=True)
+    B = np.asarray(start, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError("start must be (K, n_columns) matching the data")
     if not np.isfinite(B).all() or (B.size and B.min() < 0):
         raise ValueError("start must be finite and nonnegative")
-    design = np.asarray(design, dtype=np.float64)
+    design = np.ascontiguousarray(design, dtype=np.float64)
     x = np.asarray(counts, dtype=np.float64)
     segment = np.asarray(segment)
     if design.shape != (len(x), B.shape[0]) or segment.shape != x.shape:
@@ -218,11 +220,12 @@ def mm_poisson_regression_group(
             "one column per coefficient"
         )
     if design.size:
-        if not np.isfinite(design).all() or design.min() < 0:
+        # NaN fails every comparison, so these reductions reject it too.
+        if not (design.min() >= 0 and design.max() < np.inf):
             raise ValueError("designs must be finite and nonnegative")
-        if not np.isfinite(x).all() or x.min() <= 0:
+        if not (x.min() > 0 and x.max() < np.inf):
             raise ValueError("counts must be positive and finite")
-        dead_rows = ~(design > 0).any(axis=1)
+        dead_rows = design.max(axis=1) <= 0
         if dead_rows.any():
             j = int(np.flatnonzero(dead_rows)[0])
             raise ValueError(
@@ -237,33 +240,44 @@ def mm_poisson_regression_group(
         raise ValueError(
             "segment ids must be sorted integers in [0, n_columns)"
         )
-    # One (column, first row, end row) span per column that carries rows.
-    first = np.flatnonzero(np.diff(segment, prepend=-1))
-    spans = list(zip(segment[first].tolist(), first.tolist(),
-                     first[1:].tolist() + [len(segment)]))
+    # The iterate is held transposed, one contiguous row per column, and
+    # updated in place, so each span's views below stay valid across
+    # sweeps and a sweep allocates nothing.
+    bt = np.array(B.T, order="C")
     lam = np.empty(len(x))
-    numer = np.zeros_like(B)
+    ratio = np.empty(len(x))
+    numer = np.zeros_like(bt)
+    new, delta, floor = (np.empty_like(bt) for _ in range(3))
+    # One (design rows, iterate row, intensities, ratios, numerator row)
+    # view per column that carries rows; its rows are contiguous.
+    first = np.flatnonzero(np.diff(segment, prepend=-1))
+    ends = first[1:].tolist() + [len(segment)]
+    spans = [
+        (design[s:e], bt[c], lam[s:e], ratio[s:e], numer[c])
+        for c, s, e in zip(segment[first].tolist(), first.tolist(), ends)
+    ] if design.size else []
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        if design.size:
-            for c, s, e in spans:
-                lam[s:e] = design[s:e] @ B[:, c]
-            if (lam <= 0).any():
+        for rows, b, lam_c, _, _ in spans:
+            np.matmul(rows, b, out=lam_c)
+        if spans:
+            if lam.min() <= 0:
                 raise ValueError(
                     "zero intensity at a positive count; the iterate "
                     "cannot support the data"
                 )
-            ratio = x / lam
-            for c, s, e in spans:
-                numer[:, c] = np.einsum("j,jk->k", ratio[s:e], design[s:e])
-        new = B * numer
+            np.divide(x, lam, out=ratio)
+        for rows, _, _, ratio_c, numer_c in spans:
+            np.matmul(ratio_c, rows, out=numer_c)
+        np.multiply(bt, numer, out=new)
         if beta > 0:
-            new *= (1.0 / (1.0 + beta / (epsilon + B.sum(axis=1))))[:, None]
-        delta = np.abs(new - B) / np.maximum(np.abs(B), 1e-30)
-        B = new
+            new *= 1.0 / (1.0 + beta / (epsilon + bt.sum(axis=0)))
+        np.abs(np.subtract(new, bt, out=delta), out=delta)
+        delta /= np.maximum(bt, 1e-30, out=floor)
+        bt[...] = new
         if not delta.size or delta.max() < tol:
             break
-    return B, sweeps
+    return np.ascontiguousarray(bt.T), sweeps
 
 
 def mm_poisson_regression(
@@ -285,14 +299,6 @@ def mm_poisson_regression(
         max_iter=max_iter,
     )
     return B[:, 0], sweeps
-
-
-def poisson_objective(design, counts, coef) -> float:
-    """Objective of one regression instance (for tests and oracles)."""
-    lam = np.asarray(design) @ np.asarray(coef)
-    if (lam <= 0).any():
-        return math.inf
-    return float(np.sum(coef) - np.asarray(counts) @ np.log(lam))
 
 
 def initialize(
@@ -477,6 +483,7 @@ def fit_block_gs(
     blocks += [(update_mode, (p,)) for p in range(model.n_modes)]
     for _ in range(config.max_outer):
         inner_total = accepted = 0
+        worst = current
         for update, args in blocks:
             try:
                 trial, sweeps = update(model, tensor, *args, config)
@@ -500,11 +507,14 @@ def fit_block_gs(
                 accepted += 1
             else:
                 rejected += 1
+                worst = max(worst, value)
         trace.append(current)
         inner_trace.append(inner_total)
         eff_trace.append(effective_terms(model))
         if not accepted:
-            return model, report("stalled")
+            # Trials that miss only by rounding mean a fixed point.
+            settled = _settled([current, worst], config.outer_tol)
+            return model, report("converged" if settled else "stalled")
         if _settled(trace, config.outer_tol):
             return model, report("converged")
     return model, report("max_outer")

@@ -11,6 +11,14 @@ import math
 import numpy as np
 
 
+def poisson_objective(design, counts, coef) -> float:
+    """Objective of one regression instance."""
+    lam = np.asarray(design) @ np.asarray(coef)
+    if (lam <= 0).any():
+        return math.inf
+    return float(np.sum(coef) - np.asarray(counts) @ np.log(lam))
+
+
 def poisson_objective_grid(design, counts, grid):
     """Objective at many candidate coefficient vectors at once.
 
@@ -100,6 +108,42 @@ def random_segmented_instance(rng, n_columns=5, max_rows=6, k=3):
     return design, counts, segment, start
 
 
+def mm_sweeps_per_span(design, counts, segment, start, beta=0.0,
+                       epsilon=1e-8, tol=1e-6, max_iter=250):
+    """The grouped multiplicative solver, one span and one sweep at a time.
+
+    Same arguments and result as ``mm_poisson_regression_group`` on
+    valid input, without its checks: each sweep evaluates every span's
+    intensities by a matrix-vector product, its numerator by a weighted
+    row sum, and allocates a fresh iterate.
+    """
+    B = np.array(start, dtype=np.float64)
+    design = np.asarray(design, dtype=np.float64)
+    x = np.asarray(counts, dtype=np.float64)
+    segment = np.asarray(segment)
+    first = np.flatnonzero(np.diff(segment, prepend=-1))
+    spans = list(zip(segment[first].tolist(), first.tolist(),
+                     first[1:].tolist() + [len(segment)]))
+    lam = np.empty(len(x))
+    numer = np.zeros_like(B)
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        if design.size:
+            for c, s, e in spans:
+                lam[s:e] = design[s:e] @ B[:, c]
+            ratio = x / lam
+            for c, s, e in spans:
+                numer[:, c] = np.einsum("j,jk->k", ratio[s:e], design[s:e])
+        new = B * numer
+        if beta > 0:
+            new *= (1.0 / (1.0 + beta / (epsilon + B.sum(axis=1))))[:, None]
+        delta = np.abs(new - B) / np.maximum(np.abs(B), 1e-30)
+        B = new
+        if not delta.size or delta.max() < tol:
+            break
+    return B, sweeps
+
+
 EVENT_COLUMNS = ("replicate_id", "team", "minutes", "x_o", "y_o", "x_d", "y_d")
 
 
@@ -111,7 +155,7 @@ def _standardize_axis_rows(values, size, label):
     if bad.any():
         j = int(np.flatnonzero(bad)[0])
         raise ValueError(
-            f"{label} coordinate {v[j]!r} outside [0, {size}] "
+            f"{label} coordinate {float(v[j])} outside [0, {size}] "
             "beyond tolerance 1e-06"
         )
     u = np.clip(v, 0.0, size) / size

@@ -41,11 +41,14 @@ from mrtensor.solver import (
     fit_em,
     mm_poisson_regression,
     penalized_objective,
-    poisson_objective,
 )
 from mrtensor.sptensor import SparseCountTensor, dense_reconstruct
 
-from oracles import grid_minimize_poisson, random_regression_instance
+from oracles import (
+    grid_minimize_poisson,
+    poisson_objective,
+    random_regression_instance,
+)
 
 # Models fitted by criteria 4-6, audited for scale consistency by
 # criterion 8.

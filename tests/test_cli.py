@@ -81,6 +81,19 @@ class TestEncode:
         assert capsys.readouterr().err.strip() == f"error: {message}"
         assert not (tmp_path / "t.txt").exists()
 
+    def test_overlong_field_exits_two(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        lines = EVENTS.splitlines()
+        row = 'm1,alpha,96,10,10,50,"' + "y" * 200_000 + '"'
+        events.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        code = main(["encode", str(events), "-S", "1",
+                     "--out", str(tmp_path / "t.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: line 3: malformed row (field larger than field limit"
+        )
+        assert not (tmp_path / "t.txt").exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = main([
             "encode", str(tmp_path / "nope.csv"), "-S", "1",

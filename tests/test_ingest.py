@@ -4,6 +4,7 @@ The array parser is checked against ``oracles.parse_events_rows``, which
 reads the same text one ``csv.DictReader`` row at a time.
 """
 
+import csv
 import io
 import math
 
@@ -101,6 +102,14 @@ class TestStandardization:
         with pytest.raises(ValueError, match="y_d"):
             parse_events(make_csv(["m1,a,90,0,0,0,-1"]))
 
+    def test_off_field_message_prints_a_plain_number(self):
+        message = ("x_o coordinate 116.0 outside [0, 115.0] "
+                   "beyond tolerance 1e-06")
+        for parse in (parse_events, parse_events_rows):
+            with pytest.raises(ValueError) as exc:
+                parse(make_csv(["m1,a,90,116,0,0,0"]), FieldGeometry())
+            assert str(exc.value) == message
+
     def test_right_to_left_mirrors_x_only(self):
         geom = FieldGeometry(attack_direction="right_to_left")
         table = parse_events(make_csv(["m1,a,90,10,10,80,60"]), geom)
@@ -125,6 +134,27 @@ class TestValidation:
         src = make_csv(["m1,a,90,10,10,50,40", "m1,a,90,oops,10,50,40"])
         with pytest.raises(ValueError, match="line 3"):
             parse_events(src)
+
+    def test_overlong_field_is_a_malformed_row(self):
+        # Longer than csv's field limit: the header read and the re-scan
+        # that names a bad row must both report it as a ValueError.
+        limit = csv.field_size_limit()
+        big = '"' + "a" * 200_000 + '"'
+        cases = [
+            (make_csv(["m1,a,90,10,10,50,40", "m1,a,90,10,10,50," + big]),
+             "line 3"),
+            (make_csv(["m1,a,90,10,10,50,40"],
+                      header="replicate_id,team,minutes,x_o,y_o,x_d,y_d,"
+                             + big),
+             "line 1"),
+        ]
+        for src, line in cases:
+            with pytest.raises(ValueError) as exc:
+                parse_events(src)
+            assert str(exc.value) == (
+                f"{line}: malformed row (field larger than field limit "
+                f"({limit}))"
+            )
 
     def test_conflicting_replicate_metadata(self):
         src = make_csv(["m1,a,90,10,10,50,40", "m1,b,90,10,10,50,40"])

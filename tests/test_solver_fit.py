@@ -254,6 +254,34 @@ class TestFitBlockGs:
         init = initialize(cfg, t.shape, float(t.total))
         np.testing.assert_array_equal(model.upsilon, init.upsilon)
 
+    def test_rounding_level_rejections_converge(self, monkeypatch):
+        # At a fixed point every block reproduces the model, and its
+        # objective may round a few ulps higher: the guard rejects every
+        # trial, and the fit ends converged, not stalled.
+        rng = np.random.default_rng(79)
+        t = random_tensor(rng)
+        exact = solver.penalized_objective
+        values = []
+
+        def rounded_up(model, *args):
+            value = exact(model, *args)
+            if values:
+                value += 4 * np.spacing(abs(value))
+            values.append(value)
+            return value
+
+        def same(model, *args):
+            return model.copy(), 1
+
+        monkeypatch.setattr(solver, "penalized_objective", rounded_up)
+        monkeypatch.setattr(solver, "update_scores", same)
+        monkeypatch.setattr(solver, "update_mode", same)
+        _, report = fit_block_gs(t, small_config(n_terms=2, max_outer=20))
+        assert report.stop_reason == "converged"
+        assert report.outer_iterations == 1
+        assert report.rejected_blocks == t.ndim
+        assert report.objective[1] == report.objective[0] < min(values[1:])
+
     def test_empty_tensor_rejected(self):
         t = SparseCountTensor.from_entries(
             (4, 4, 2), np.empty((0, 3), dtype=int), np.empty(0, dtype=int)

@@ -6,11 +6,12 @@ import pytest
 from mrtensor.solver import (
     mm_poisson_regression,
     mm_poisson_regression_group,
-    poisson_objective,
 )
 
 from oracles import (
     grid_minimize_poisson,
+    mm_sweeps_per_span,
+    poisson_objective,
     random_regression_instance,
     random_segmented_instance,
 )
@@ -185,6 +186,39 @@ class TestSweepMechanics:
         assert sweeps == 7
 
 
+class TestAgainstSpanOracle:
+    """The solver against its per-span reference sweep: the same
+    arithmetic up to summation order, so equal to rounding."""
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    @pytest.mark.parametrize("n_columns", [3, 6, 40])
+    def test_segmented_instances(self, n_columns, beta):
+        # Every instance has columns without rows, column 0 among them.
+        rng = np.random.default_rng(70 + n_columns)
+        for _ in range(10):
+            instance = random_segmented_instance(rng, n_columns, k=4)
+            got, sweeps = mm_poisson_regression_group(
+                *instance, beta=beta, tol=1e-300, max_iter=30
+            )
+            want, want_sweeps = mm_sweeps_per_span(
+                *instance, beta=beta, tol=1e-300, max_iter=30
+            )
+            assert sweeps == want_sweeps == 30
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_one_span_to_convergence(self, beta):
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            design, counts = random_regression_instance(rng, 12, 4)
+            instance = (design, counts, np.zeros(len(counts), dtype=int),
+                        rng.uniform(0.5, 2.0, size=(design.shape[1], 1)))
+            got, sweeps = mm_poisson_regression_group(*instance, beta=beta)
+            want, want_sweeps = mm_sweeps_per_span(*instance, beta=beta)
+            assert sweeps == want_sweeps
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 class TestValidation:
     def test_infeasible_row_rejected(self):
         design = np.array([[0.0, 0.0], [0.5, 0.5]])
@@ -200,6 +234,19 @@ class TestValidation:
         design = np.array([[-0.1], [0.5]])
         with pytest.raises(ValueError, match="designs"):
             mm_poisson_regression(design, np.array([1.0, 1.0]), np.ones(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_design_rejected(self, bad):
+        design = np.array([[0.5, bad], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="designs must be finite"):
+            mm_poisson_regression(design, np.array([1.0, 1.0]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="counts must be positive"):
+            mm_poisson_regression(
+                np.ones((2, 1)), np.array([1.0, bad]), np.ones(1)
+            )
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError, match="start"):

@@ -13,7 +13,6 @@ from mrtensor import (
     fit_block_gs,
     match_motifs,
     motif_at_scale,
-    motif_view,
     rank_motifs,
     simulate,
     write_motif_svg,
@@ -80,9 +79,8 @@ ranked = rank_motifs(fitted)
 total_usage = sum(u for _, u in ranked)
 print("\nsurviving terms by share of all passes:")
 for term, usage in ranked:
-    view = motif_view(fitted, term)
     print(f"  term {term}: share {usage / total_usage:.3f}, "
-          f"rank {len(view.weights)}")
+          f"rank {fitted.ranks[term]}")
 
 top = [h for h, _ in ranked[:2]]
 fitted_coarse = [motif_at_scale(fitted, h, 1) for h in top]

@@ -40,13 +40,11 @@ from .ingest import (
 )
 from .model import (
     CpBtdModel,
-    MotifView,
     ScoreSummary,
     effective_rank,
     effective_terms,
     intensity_at,
     motif_at_scale,
-    motif_view,
     normalize_scores,
     objective,
     read_model,
@@ -79,7 +77,6 @@ __all__ = [
     "EventTable",
     "FieldGeometry",
     "FitReport",
-    "MotifView",
     "MultiIndex",
     "Replicate",
     "ScoreSummary",
@@ -108,7 +105,6 @@ __all__ = [
     "mm_poisson_regression",
     "mm_poisson_regression_group",
     "motif_at_scale",
-    "motif_view",
     "node_tile",
     "normalize_scores",
     "objective",

@@ -19,7 +19,9 @@ import numpy as np
 from . import analysis, solver, sptensor
 from .encode import build_tensor
 from .ingest import FieldGeometry, parse_events
-from .model import motif_view, normalize_scores, read_model, write_model
+from .model import (
+    effective_rank, motif_at_scale, normalize_scores, read_model, write_model,
+)
 from .solver import SolverConfig, SolverError, fit_block_gs, fit_em
 
 
@@ -118,14 +120,15 @@ def cmd_motifs(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for h, usage in chosen:
-        view = motif_view(fitted, h)
         for s in scales:
+            matrix = motif_at_scale(fitted, h, s)
             stem = outdir / f"motif_{h + 1}_scale_{s}"
-            analysis.write_motif_csv(view.matrices[s - 1], f"{stem}.csv")
+            analysis.write_motif_csv(matrix, f"{stem}.csv")
             analysis.write_motif_svg(
-                view.matrices[s - 1], f"{stem}.svg", top_edges=args.edges
+                matrix, f"{stem}.svg", top_edges=args.edges
             )
-        print(f"motif={h + 1} usage={usage:.6g} rank={view.effective_rank}")
+        rank = effective_rank(fitted, h)
+        print(f"motif={h + 1} usage={usage:.6g} rank={rank}")
     return 0
 
 

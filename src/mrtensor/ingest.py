@@ -14,7 +14,6 @@ that tile indices at any dyadic scale stay in range.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import warnings
@@ -23,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 _COLUMNS = ("replicate_id", "team", "minutes", "x_o", "y_o", "x_d", "y_d")
+# One parsed row: the two labels as str, the five numbers as float.
+_ROW = np.dtype([(c, object if k < 2 else np.float64)
+                 for k, c in enumerate(_COLUMNS)])
+# numpy's number parser strips these as padding; float() rejects them.
+_NUMPY_PADDING = "\x1c\x1d\x1e\x1f"
 
 # Physical slack (field units) tolerated outside the boundary before a
 # coordinate is considered invalid rather than clamped.
@@ -130,17 +134,23 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     given twice means its last column.  Fields are comma-separated and
     may be double-quoted to hold commas, newlines or doubled quotes.
     Blank lines are skipped; there is no comment character, so a field
-    may start with ``#``.  Numbers are read by Python's ``float``
-    (``" 5 "`` and ``1_0`` included).  If the geometry says the data
-    attack right-to-left, the x axis is mirrored so every parsed table
-    attacks left-to-right.
+    may start with ``#``.  Numbers are read as Python's ``float``
+    reads them (``" 5 "`` and ``1_0`` included).  If the geometry says
+    the data attack right-to-left, the x axis is mirrored so every
+    parsed table attacks left-to-right.
+
+    The body is tokenized once by numpy.  A file numpy cannot read, one
+    with a malformed row or a number only ``float`` reads (``1_0``,
+    non-ASCII digits), is read again row by row with ``csv`` and
+    ``float``; only that reading applies ``csv.field_size_limit()``.
 
     Raises ValueError on missing columns, a malformed row (too short,
     a number ``float`` rejects, or a field ``csv`` cannot read, such as
-    one longer than ``csv.field_size_limit()``), non-positive minutes,
-    conflicting metadata for one replicate_id, or coordinates outside
-    the field beyond tolerance.  A row error names ``line N``: the
-    header is line 1 and each non-blank row one more.
+    one longer than ``csv.field_size_limit()`` in a file read row by
+    row), non-positive minutes, conflicting metadata for one
+    replicate_id, or coordinates outside the field beyond tolerance.
+    A row error names ``line N``: the header is line 1 and each
+    non-blank row one more.
     """
     geometry = geometry or FieldGeometry()
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -159,44 +169,49 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     column = {name: k for k, name in enumerate(header)}
     usecols = [column[c] for c in _COLUMNS]
     body = source.read()
-    read = functools.partial(np.loadtxt, delimiter=",", quotechar='"',
-                             comments=None, ndmin=2, encoding=None)
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns about blank lines and an empty body.
-            warnings.simplefilter("ignore", UserWarning)
-            labels = read(io.StringIO(body, newline=""), object,
-                          usecols=usecols[:2])
-            numbers = read(io.StringIO(body, newline=""), float,
-                           converters=float, usecols=usecols[2:])
-    except ValueError as exc:
-        # Only a malformed row fails the array read: re-scan to name it,
-        # unless an earlier row has another problem.
-        labels, numbers, error = _rescan(body, usecols)
-        _replicates(labels, numbers[:, 0])
-        raise (error or exc) from None
-    replicates, rep_idx = _replicates(labels, numbers[:, 0])
+    rows = None
+    if not any(c in body for c in _NUMPY_PADDING):
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns about blank lines and an empty body.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    io.StringIO(body, newline=""), _ROW, delimiter=",",
+                    quotechar='"', comments=None, usecols=usecols, ndmin=1,
+                    encoding=None,
+                )
+        except ValueError:
+            pass  # a malformed row, or a number only float() reads
+    if rows is None:
+        rows, error = _rescan(body, usecols)
+        if error:
+            # Name an earlier row's problem first, if it has one.
+            _replicates(rows)
+            raise error
+    replicates, rep_idx = _replicates(rows)
 
-    xy, length = numbers[:, 1:], geometry.length
+    length = geometry.length
     if geometry.attack_direction == "right_to_left":
-        xy[:, ::2] = length - np.clip(xy[:, ::2], 0.0, length)
+        for c in ("x_o", "x_d"):
+            rows[c] = length - np.clip(rows[c], 0.0, length)
     sizes = (length, geometry.width) * 2
     coords = np.column_stack([
-        _standardize_axis(xy[:, k], sizes[k], _COLUMNS[3 + k])
-        for k in range(4)
+        _standardize_axis(rows[c], size, c)
+        for c, size in zip(_COLUMNS[3:], sizes)
     ])
     return EventTable(replicates, rep_idx, coords)
 
 
 def _rescan(body: str, usecols: list[int]):
-    """(labels, numbers, error): ``body`` read one csv row at a time up
-    to its first malformed row, and the ValueError naming it or None."""
-    labels, numbers, error = [], [], None
-    rows = (row for row in csv.reader(io.StringIO(body, newline="")) if row)
+    """(rows, error): ``body`` read one csv row at a time, numbers by
+    ``float``, up to its first malformed row, and the ValueError naming
+    that row or None."""
+    rows, error = [], None
+    records = (r for r in csv.reader(io.StringIO(body, newline="")) if r)
     lineno = 1
     try:
-        for lineno, row in enumerate(rows, start=2):
-            cells = [row[k] if k < len(row) else None for k in usecols]
+        for lineno, record in enumerate(records, start=2):
+            cells = [record[k] if k < len(record) else None for k in usecols]
             try:
                 values = [float(cell) for cell in cells[2:]]
                 if None in cells[:2]:
@@ -204,20 +219,18 @@ def _rescan(body: str, usecols: list[int]):
             except (TypeError, ValueError) as exc:
                 error = ValueError(f"line {lineno}: malformed row ({exc})")
                 break
-            labels.append(cells[:2])
-            numbers.append(values)
+            rows.append((*cells[:2], *values))
     except csv.Error as exc:
         # The reader failed on the row after the last one it returned.
         error = ValueError(f"line {lineno + 1}: malformed row ({exc})")
-    labels = np.array(labels, dtype=object).reshape(-1, 2)
-    return labels, np.array(numbers).reshape(-1, 5), error
+    return np.array(rows, dtype=_ROW), error
 
 
-def _replicates(labels: np.ndarray, minutes: np.ndarray):
+def _replicates(rows: np.ndarray):
     """(replicates, replicate_index) in first-appearance order; raises
     at the first row with minutes not positive and finite, or with team
     or minutes unlike its replicate's first row."""
-    ids, teams = labels[:, 0], labels[:, 1]
+    ids, teams, minutes = rows["replicate_id"], rows["team"], rows["minutes"]
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)
     first, index = first[order], np.argsort(order)[inverse]

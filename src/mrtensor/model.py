@@ -184,34 +184,6 @@ def motif_at_scale(model: CpBtdModel, term: int, scale: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MotifView:
-    """One term prepared for inspection: matrices at every scale."""
-
-    term: int
-    usage: float
-    weights: np.ndarray
-    matrices: tuple[np.ndarray, ...]
-    effective_rank: int
-
-    @property
-    def finest(self) -> np.ndarray:
-        return self.matrices[-1]
-
-
-def motif_view(model: CpBtdModel, term: int) -> MotifView:
-    depth = model.n_modes // 2
-    return MotifView(
-        term=term,
-        usage=float(model.term_usage()[term]),
-        weights=model.omega[model.block(term)].copy(),
-        matrices=tuple(
-            motif_at_scale(model, term, s) for s in range(1, depth + 1)
-        ),
-        effective_rank=effective_rank(model, term),
-    )
-
-
-@dataclass(frozen=True)
 class ScoreSummary:
     """Share-normalized scores: theta columns sum to one, eta scales back."""
 

@@ -221,11 +221,16 @@ def mm_poisson_regression_group(
         )
     if design.size:
         # NaN fails every comparison, so these reductions reject it too.
-        if not (design.min() >= 0 and design.max() < np.inf):
+        # Past the sign check a row sums to 0 only if it is all zero, and
+        # sums are finite unless an entry is infinite or a sum overflows.
+        row_sums = design @ np.ones(design.shape[1])
+        if not (design.min() >= 0 and (
+            row_sums.max() < np.inf or design.max() < np.inf
+        )):
             raise ValueError("designs must be finite and nonnegative")
         if not (x.min() > 0 and x.max() < np.inf):
             raise ValueError("counts must be positive and finite")
-        dead_rows = design.max(axis=1) <= 0
+        dead_rows = row_sums <= 0
         if dead_rows.any():
             j = int(np.flatnonzero(dead_rows)[0])
             raise ValueError(

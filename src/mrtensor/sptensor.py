@@ -175,7 +175,7 @@ def read_tensor(path) -> SparseCountTensor:
         if modes != len(shape):
             raise ValueError("header modes disagrees with shape")
         rows = np.loadtxt(
-            handle, dtype=np.int64, ndmin=2, usecols=range(modes + 1)
+            handle, dtype=np.int64, ndmin=2
         ) if nnz else np.empty((0, modes + 1), dtype=np.int64)
     if rows.shape != (nnz, modes + 1):
         raise ValueError(

@@ -147,6 +147,20 @@ class TestFit:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_entry_line_with_extra_field_exits_two(
+        self, tmp_path, events_csv, capsys
+    ):
+        tensor = tmp_path / "t.txt"
+        main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
+        lines = tensor.read_text().splitlines()
+        lines[1] += " 5"
+        tensor.write_text("\n".join(lines) + "\n")
+        code = main(["fit", str(tensor), "--terms", "2", "--rank", "1",
+                     "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.txt").exists()
+
     def test_numerical_failure_exits_three_with_report(
         self, tmp_path, events_csv, monkeypatch, capsys
     ):

@@ -67,6 +67,15 @@ class TestParsing:
         assert ids == ["m1", "m2"]
         assert table.coords[1, 2] == pytest.approx(60 / 115)
 
+    def test_underscore_numbers_read_as_float_reads_them(self):
+        rows = ["m1,a,9_6,1_0,1_0,5_0,4_0", "m2,b,4_5.5,2_0,3_0,6_0,5_0"]
+        plain = parse_events(make_csv([r.replace("_", "") for r in rows]))
+        spelled = parse_events(make_csv(rows))
+        assert spelled.replicates == plain.replicates
+        np.testing.assert_array_equal(spelled.replicate_index,
+                                      plain.replicate_index)
+        np.testing.assert_array_equal(spelled.coords, plain.coords)
+
     def test_replicate_with_no_events_is_not_representable_by_csv(self):
         # The CSV format only declares replicates through their events,
         # but the table itself supports empty replicates.
@@ -156,6 +165,20 @@ class TestValidation:
                 f"({limit}))"
             )
 
+    def test_overlong_field_fails_only_a_row_by_row_read(self):
+        # numpy reads a field of any length; csv, which reads the file
+        # again when a number needs float(), stops at its field limit.
+        limit = csv.field_size_limit()
+        big = '"' + " " * 200_000 + '5"'
+        table = parse_events(make_csv(["m1,a,90,10,10,50," + big]))
+        assert table.coords[0, 3] == 5 / 74
+        with pytest.raises(ValueError) as exc:
+            parse_events(make_csv(["m1,a,90,1_0,10,50," + big]))
+        assert str(exc.value) == (
+            f"line 2: malformed row (field larger than field limit "
+            f"({limit}))"
+        )
+
     def test_conflicting_replicate_metadata(self):
         src = make_csv(["m1,a,90,10,10,50,40", "m1,b,90,10,10,50,40"])
         with pytest.raises(ValueError, match="redeclared"):
@@ -237,13 +260,15 @@ class TestExposure:
 
 
 # Cell texts the generator mixes: ids with commas, quotes, embedded
-# newlines, a leading '#', padding or a NUL; numbers float() rejects;
-# junk for columns the parser ignores.
-IDS = ["m1", "m2", "#m3", "a,b", 'q"q', "x\ny", "r\r\ns", " m4 ", "", "é\x00"]
+# newlines, a leading '#', padding, a NUL or a character numpy's number
+# parser strips; numbers float() rejects; junk for columns the parser
+# ignores.
+IDS = ["m1", "m2", "#m3", "a,b", 'q"q', "x\ny", "r\r\ns", " m4 ", "", "é\x00",
+       "m\x1c5"]
 TEAMS = ["alpha", "beta", "#g", "c,d", " e "]
 MINUTES = [90.0, 96.5, 45.0, 1e-3]
 BAD_MINUTES = [0.0, -1.0, float("nan"), float("inf")]
-BAD_CELLS = ["oops", "", "1x", "1__0", "5\x00", "0x10", "--1"]
+BAD_CELLS = ["oops", "", "1x", "1__0", "5\x00", "0x10", "--1", "\x1c5", "5\x1f"]
 JUNK = ["", "x", "#c", '"', "1,2", "note\nmore"]
 # Coordinates as fractions of the field: edges, and just past them
 # within and beyond the boundary tolerance.
@@ -258,11 +283,17 @@ FAULTS = [None] * 4 + [
 def _number_text(draw, value):
     """One spelling of ``value`` that float() reads back exactly."""
     text = repr(value)
-    style = draw(st.sampled_from(["repr", "padded", "underscore", "int"]))
+    style = draw(st.sampled_from(
+        ["repr", "padded", "nbsp", "underscore", "fullwidth", "int"]
+    ))
     if style == "padded":
         return f" {text} "
+    if style == "nbsp":
+        return f"\xa0{text}\xa0"
     if style == "underscore" and text[:2].isdigit():
         return text[0] + "_" + text[1:]
+    if style == "fullwidth" and text[0].isdigit():
+        return chr(ord("０") + int(text[0])) + text[1:]
     if style == "int" and math.isfinite(value) and value == int(value):
         return str(int(value))
     return text
@@ -378,8 +409,11 @@ class TestAgainstRowOracle:
          "line 4: replicate 'm1' redeclared with different team or minutes"),
         ("m1,a,0,1,2,3,4\nm1,a,90,oops,2,3,4\n",
          "line 2: minutes must be positive"),
+        ("m1,a,90,1,2,3,4\nm1,a,90,1,2,3\x1f,4\n",
+         "line 3: malformed row (could not convert string to float: "
+         "'3\\x1f')"),
     ], ids=["short row", "after blank line", "after quoted newline",
-            "earlier row first"])
+            "earlier row first", "padding numpy strips"])
     def test_first_bad_row_is_named(self, text, message):
         with pytest.raises(ValueError) as exc:
             parse_events(make_csv([text.rstrip("\n")]))

@@ -16,7 +16,6 @@ from mrtensor.model import (
     effective_terms,
     intensity_at,
     motif_at_scale,
-    motif_view,
     normalize_scores,
     objective,
     read_model,
@@ -135,15 +134,14 @@ class TestMotifs:
                 ).sum(axis=(1, 3))
                 np.testing.assert_allclose(folded, coarse, rtol=1e-12)
 
-    def test_motif_view_collects_scales(self):
+    def test_one_matrix_per_scale_up_to_depth(self):
         rng = np.random.default_rng(34)
         m = random_model(rng, sizes=(4, 4, 4, 4), ranks=(2, 1), n_rep=2)
-        view = motif_view(m, 0)
-        assert view.term == 0
-        assert len(view.matrices) == 2
-        assert view.finest.shape == (16, 16)
-        assert view.effective_rank == 2
-        assert view.usage == pytest.approx(m.term_usage()[0])
+        for s in (1, 2):
+            assert motif_at_scale(m, 0, s).shape == (4**s, 4**s)
+        for s in (0, 3):
+            with pytest.raises(ValueError, match="scale must be"):
+                motif_at_scale(m, 0, s)
 
     def test_odd_mode_count_rejected(self):
         rng = np.random.default_rng(35)

@@ -241,6 +241,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="designs must be finite"):
             mm_poisson_regression(design, np.array([1.0, 1.0]), np.ones(2))
 
+    def test_overflowing_row_sum_accepted(self):
+        # Finite entries whose row sum overflows are a valid design.
+        design = np.array([[1e308, 1e308], [0.5, 0.5]])
+        with np.errstate(over="ignore"):
+            B, sweeps = mm_poisson_regression(
+                design, np.array([1.0, 1.0]), np.ones(2), max_iter=1
+            )
+        assert sweeps == 1 and np.isfinite(B).all()
+
+    def test_negative_zero_row_is_dead(self):
+        design = np.array([[0.5, 0.5], [-0.0, -0.0]])
+        with pytest.raises(ValueError) as exc:
+            mm_poisson_regression(design, np.array([1.0, 1.0]), np.ones(2))
+        assert str(exc.value) == (
+            "infeasible row: observation 1 has a positive count but an "
+            "all-zero design row"
+        )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_count_rejected(self, bad):
         with pytest.raises(ValueError, match="counts must be positive"):

@@ -176,6 +176,16 @@ class TestTensorFormat:
         with pytest.raises(ValueError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("body", ["1 2 3 5\n2 1 4 6\n",
+                                      "1 2 3\n2 1 4 6\n"],
+                             ids=["every line", "one line"])
+    def test_extra_fields_rejected(self, tmp_path, body):
+        # Not cut to modes + 1 fields: "1 2 3 5" is not the count 3.
+        path = tmp_path / "t.txt"
+        path.write_text(f"{FORMAT_HEADER} modes=2 shape=2,2 nnz=2\n{body}")
+        with pytest.raises(ValueError):
+            read_tensor(path)
+
     def test_truncated_body_rejected(self, tmp_path):
         t = small_tensor()
         path = tmp_path / "t.txt"

@@ -8,7 +8,7 @@ from mrtensor import SolverConfig
 
 PUBLIC_NAMES = [
     "CpBtdModel", "DissimilarityMatrix", "EventTable", "FieldGeometry",
-    "FitReport", "MotifView", "MultiIndex", "Replicate",
+    "FitReport", "MultiIndex", "Replicate",
     "ScoreSummary", "SolverConfig", "SolverError", "SparseCountTensor",
     "adjacency_at_scale", "binary_code", "bray_curtis", "build_tensor",
     "chain_index", "cosine_similarity", "decode_binary_code",
@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "effective_terms", "encode_event", "fit_block_gs",
     "fit_em", "fold_to_multiindex", "initialize", "intensity_at",
     "marginalize_to_scale", "match_motifs", "mm_poisson_regression",
-    "mm_poisson_regression_group", "motif_at_scale", "motif_view",
+    "mm_poisson_regression_group", "motif_at_scale",
     "node_tile", "normalize_scores", "objective", "parse_events",
     "rank_motifs", "read_model", "read_report", "read_tensor", "simulate",
     "team_minutes", "write_dissimilarity_csv", "write_model",

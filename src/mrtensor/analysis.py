@@ -169,10 +169,10 @@ def simulate(
     if rates is None:
         rates = model.upsilon
     rates = np.asarray(rates, dtype=np.float64)
-    if rates.shape[0] != model.n_terms:
-        raise ValueError("rates must have one row per term")
     if rates.ndim != 2:
         raise ValueError("rates must be terms x replicates")
+    if rates.shape[0] != model.n_terms:
+        raise ValueError("rates must have one row per term")
     if not np.isfinite(rates).all() or rates.min() < 0:
         raise ValueError("rates must be finite and nonnegative")
     unmixed = (rates.max(axis=1) > 0) & (model.term_sums(model.omega) <= 0)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, solver, sptensor
-from .encode import build_tensor
+from .encode import _grid_depth, build_tensor
 from .ingest import FieldGeometry, parse_events
 from .model import (
     effective_rank, motif_at_scale, normalize_scores, read_model, write_model,
@@ -101,15 +101,11 @@ def cmd_fit(args) -> int:
 
 def cmd_motifs(args) -> int:
     fitted = read_model(args.model)
-    depth = fitted.n_modes // 2
-    scales = (
-        [int(s) for s in args.scales.split(",")]
-        if args.scales
-        else list(range(1, depth + 1))
-    )
-    for s in scales:
-        if not 1 <= s <= depth:
-            raise ValueError(f"scale {s} out of range [1, {depth}]")
+    scales = range(1, _grid_depth(fitted.mode_sizes) + 1)
+    if args.scales:
+        scales = [int(s) for s in args.scales.split(",")]
+        for s in scales:
+            _grid_depth(fitted.mode_sizes, s)
     ranked = analysis.rank_motifs(fitted)
     if args.top > len(ranked):
         print(

@@ -25,6 +25,17 @@ from .ingest import EventTable
 from .sptensor import SparseCountTensor
 
 
+def _grid_depth(sizes, scale: int | None = None) -> int:
+    """Depth S of quadrant modes ``sizes`` laid out as above; a given
+    ``scale`` must lie in [1, S]."""
+    if not sizes or len(sizes) % 2 or any(n != 4 for n in sizes):
+        raise ValueError(f"modes {sizes} are not quadrant pairs of size 4")
+    depth = len(sizes) // 2
+    if scale is not None and not 1 <= scale <= depth:
+        raise ValueError(f"scale {scale} out of range [1, {depth}]")
+    return depth
+
+
 def binary_code(i: int, scales: int) -> tuple[int, ...]:
     """Bits of tile index ``i`` at depth ``scales``, coarsest first."""
     if scales < 1:
@@ -105,8 +116,9 @@ def _quadrant_columns(coords: np.ndarray, scales: int) -> np.ndarray:
 
     Columns alternate origin, destination from scale 1 to ``scales``.
     """
-    if scales < 1:
-        raise ValueError("scales must be >= 1")
+    # Tile indices floor(c * 2**scales) must fit in int64.
+    if not 1 <= scales <= 63:
+        raise ValueError("scales must be >= 1 and <= 63")
     tiles = np.floor(coords * 2**scales).astype(np.int64)
     cols = np.empty((coords.shape[0], 2 * scales), dtype=np.int64)
     for s in range(1, scales + 1):
@@ -142,11 +154,7 @@ def marginalize_to_scale(
     The result has 2 * scales + 1 modes and the same total count; for
     the tensor's own depth it is a copy.
     """
-    depth = (tensor.ndim - 1) // 2
-    if tensor.ndim != 2 * depth + 1:
-        raise ValueError("tensor does not have paired scale modes")
-    if not 1 <= scales <= depth:
-        raise ValueError(f"scales must be in [1, {depth}]")
+    _grid_depth(tensor.shape[:-1], scales)
     keep = list(range(2 * scales)) + [tensor.ndim - 1]
     shape = tuple(tensor.shape[m] for m in keep)
     return SparseCountTensor.from_entries(
@@ -186,9 +194,7 @@ def adjacency_at_scale(
     4**scales square and entry sums are the replicate's event count.
     A parent edge equals the sum of its 16 child edges one scale down.
     """
-    depth = (tensor.ndim - 1) // 2
-    if not 1 <= scales <= depth:
-        raise ValueError(f"scales must be in [1, {depth}]")
+    _grid_depth(tensor.shape[:-1], scales)
     if not 0 <= replicate < tensor.shape[-1]:
         raise ValueError("replicate out of range")
     rows = tensor.indices[:, -1] == replicate

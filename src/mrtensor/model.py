@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encode import _grid_depth
 from .sptensor import SparseCountTensor, factor_rows
 
 MODEL_HEADER = "cpbtd v1"
@@ -163,13 +164,7 @@ def motif_at_scale(model: CpBtdModel, term: int, scale: int) -> np.ndarray:
     and weights are stochastic.  Aggregating 4 x 4 blocks reproduces
     the scale - 1 matrix.
     """
-    if model.n_modes % 2 != 0:
-        raise ValueError("motif rendering needs paired scale modes")
-    depth = model.n_modes // 2
-    if not 1 <= scale <= depth:
-        raise ValueError(f"scale must be in [1, {depth}]")
-    if any(size != 4 for size in model.mode_sizes):
-        raise ValueError("motif rendering needs quadrant modes of size 4")
+    _grid_depth(model.mode_sizes, scale)
     blk = model.block(term)
     size = 4**scale
     out = np.zeros((size, size))

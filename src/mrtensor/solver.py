@@ -86,11 +86,11 @@ class SolverConfig:
             self.rank = tuple(int(r) for r in self.rank)
             if len(self.rank) != self.n_terms or any(r < 1 for r in self.rank):
                 raise ValueError("need one positive rank per term")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be finite and >= 0")
         if self.max_outer < 0 or self.max_inner < 1:
             raise ValueError("iteration caps out of range")
-        if self.outer_tol <= 0:
+        if not self.outer_tol > 0:
             raise ValueError("outer_tol must be positive")
 
     def resolved_ranks(self) -> tuple[int, ...]:
@@ -358,7 +358,6 @@ def block_design(
     blocks = model.block_of_component()
     safe = np.where(usage > 0, usage, 1.0)
     psi = (model.upsilon / safe[:, None])[blocks].T
-    psi[:, usage[blocks] <= 0] = 0.0
     rows = factor_rows(cells, model.factors, skip=mode)[gather]
     design = rows * psi[tensor.indices[order, -1]]
     start = (model.factors[mode] * model.component_scale()).T
@@ -369,8 +368,6 @@ def _solve_block(model, tensor, mode, config):
     return mm_poisson_regression_group(
         *block_design(model, tensor, mode),
         beta=config.shrinkage_strength(tensor.nnz),
-        epsilon=config.epsilon,
-        tol=config.inner_tol,
         max_iter=config.max_inner,
     )
 

@@ -21,6 +21,8 @@ entries by one mode's index, the layout of a block update's design.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +97,7 @@ class SparseCountTensor:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(np.asarray(self.shape, dtype=np.int64)))
+        return math.prod(self.shape)
 
     @property
     def total(self) -> int:
@@ -174,9 +176,12 @@ def read_tensor(path) -> SparseCountTensor:
             raise ValueError(f"malformed header: {header!r}") from None
         if modes != len(shape):
             raise ValueError("header modes disagrees with shape")
-        rows = np.loadtxt(
-            handle, dtype=np.int64, ndmin=2
-        ) if nnz else np.empty((0, modes + 1), dtype=np.int64)
+        with warnings.catch_warnings():
+            # loadtxt warns about an empty body, which nnz=0 expects.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(handle, dtype=np.int64, ndmin=2)
+    if not rows.size:
+        rows = rows.reshape(0, modes + 1)
     if rows.shape != (nnz, modes + 1):
         raise ValueError(
             f"expected {nnz} entry lines of {modes + 1} fields, "
@@ -217,7 +222,7 @@ def dense_reconstruct(
     """
     sizes = [phi.shape[0] for phi in factors]
     n = upsilon.shape[1]
-    cells = int(np.prod(np.asarray(sizes + [n], dtype=np.int64)))
+    cells = math.prod(sizes + [n])
     if cells > DENSE_CELL_CAP:
         raise ValueError(f"{cells} cells exceed the dense cap {DENSE_CELL_CAP}")
     width = factors[0].shape[1]

@@ -246,6 +246,10 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(model, method="bootstrap")
 
+    def test_scalar_rates_rejected(self):
+        with pytest.raises(ValueError, match="terms x replicates"):
+            simulate(concentrated_model(), rates=np.float64(5.0))
+
     def test_zero_weight_term_with_usage_rejected(self):
         factors = [np.ones((2, 1)), np.ones((2, 1))]
         model = CpBtdModel(

@@ -6,7 +6,7 @@ import pytest
 from mrtensor import solver
 from mrtensor.analysis import rank_motifs
 from mrtensor.cli import main, parse_config
-from mrtensor.model import read_model
+from mrtensor.model import CpBtdModel, read_model, write_model
 from mrtensor.solver import read_report
 from mrtensor.sptensor import read_tensor
 
@@ -60,6 +60,14 @@ class TestEncode:
             "--attack-direction", "right_to_left",
         ])
         assert code == 0
+
+    def test_deep_grid_reports_exact_cell_count(
+        self, tmp_path, events_csv, capsys
+    ):
+        out = tmp_path / "t.txt"
+        code = main(["encode", str(events_csv), "-S", "16", "--out", str(out)])
+        assert code == 0
+        assert f"cells={4**32 * 2} nnz=6" in capsys.readouterr().out
 
     @pytest.mark.parametrize("row, message", [
         ("m1,alpha,96,10\x00,10,50,40",
@@ -216,6 +224,32 @@ class TestFit:
         assert code == 2
         assert "iteration caps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--beta", "inf"), ("--outer-tol", "nan"),
+    ])
+    def test_non_finite_knob_exits_two(
+        self, tmp_path, events_csv, flag, value, capsys
+    ):
+        tensor = tmp_path / "t.txt"
+        main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
+        code = main(["fit", str(tensor), flag, value,
+                     "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_non_finite_beta_in_config_exits_two(
+        self, tmp_path, events_csv, capsys
+    ):
+        tensor = tmp_path / "t.txt"
+        main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
+        config = tmp_path / "run.cfg"
+        config.write_text("beta = nan\n")
+        code = main(["fit", str(tensor), "--config", str(config),
+                     "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert "beta must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--epsilon", "--inner-tol"])
     def test_fixed_constants_have_no_flag(self, tmp_path, flag):
         with pytest.raises(SystemExit) as info:
@@ -306,6 +340,21 @@ class TestMotifs:
         ])
         assert code == 2
         assert "out of range [1, 2]" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_model_off_the_grid_exits_two_first(self, tmp_path, capsys):
+        # Three modes are not origin/destination pairs: rejected before
+        # ranking warns or the output directory is made.
+        model = CpBtdModel(
+            (1,), [np.full((4, 1), 0.25)] * 3, np.ones(1), np.ones((1, 1))
+        )
+        write_model(model, tmp_path / "m.txt")
+        outdir = tmp_path / "motifs"
+        code = main(["motifs", str(tmp_path / "m.txt"), "--out", str(outdir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "quadrant pairs" in err
+        assert "warning" not in err
         assert not outdir.exists()
 
     def test_top_zero_writes_nothing(self, tmp_path, fitted_model):

@@ -22,6 +22,13 @@ from mrtensor.encode import (
     node_tile,
 )
 from mrtensor.ingest import parse_events
+from mrtensor.sptensor import SparseCountTensor
+
+NOT_GRIDS = [(3, 3, 2), (8, 8, 2), (4, 4, 4, 2), (2,)]
+
+
+def one_entry(shape):
+    return SparseCountTensor(shape, np.zeros((1, len(shape))), np.ones(1))
 
 
 def table_from(rows):
@@ -149,6 +156,17 @@ class TestBuildTensor:
         assert t.nnz == 0
         assert t.shape == (4, 4, 4, 4, 1)
 
+    def test_deep_grid_counts_cells_exactly(self):
+        # 4**32 cells per replicate overflow int64.
+        table = table_from(["m1,a,90,10,10,80,60", "m2,b,90,5,5,9,9"])
+        assert build_tensor(table, 16).n_cells == 4**32 * 2
+
+    def test_depth_beyond_int64_tiles_rejected(self):
+        table = table_from(["m1,a,90,10,10,80,60"])
+        build_tensor(table, 63)
+        with pytest.raises(ValueError, match="<= 63"):
+            build_tensor(table, 64)
+
     def test_no_replicates_rejected(self):
         with pytest.raises(ValueError, match="no replicates"):
             build_tensor(table_from([]), 2)
@@ -195,6 +213,11 @@ class TestMarginalization:
             marginalize_to_scale(t, 3)
         with pytest.raises(ValueError):
             marginalize_to_scale(t, 0)
+
+    @pytest.mark.parametrize("shape", NOT_GRIDS)
+    def test_non_grid_rejected(self, shape):
+        with pytest.raises(ValueError, match="quadrant pairs"):
+            marginalize_to_scale(one_entry(shape), 1)
 
 
 class TestChainedNodes:
@@ -270,3 +293,9 @@ class TestAdjacency:
             adjacency_at_scale(t, 0, 3)
         with pytest.raises(ValueError):
             adjacency_at_scale(t, 5, 1)
+
+    @pytest.mark.parametrize("shape", NOT_GRIDS)
+    def test_non_grid_rejected(self, shape):
+        # Modes of size 3 or 8, or an odd count, are not quadrant pairs.
+        with pytest.raises(ValueError, match="quadrant pairs"):
+            adjacency_at_scale(one_entry(shape), 0, 1)

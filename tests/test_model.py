@@ -140,8 +140,15 @@ class TestMotifs:
         for s in (1, 2):
             assert motif_at_scale(m, 0, s).shape == (4**s, 4**s)
         for s in (0, 3):
-            with pytest.raises(ValueError, match="scale must be"):
+            with pytest.raises(ValueError, match="out of range"):
                 motif_at_scale(m, 0, s)
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (8, 8)])
+    def test_non_grid_modes_rejected(self, sizes):
+        rng = np.random.default_rng(36)
+        m = random_model(rng, sizes=sizes, ranks=(1,), n_rep=1)
+        with pytest.raises(ValueError, match="quadrant pairs"):
+            motif_at_scale(m, 0, 1)
 
     def test_odd_mode_count_rejected(self):
         rng = np.random.default_rng(35)

@@ -52,6 +52,9 @@ class TestSolverConfig:
         dict(max_inner=0),
         dict(outer_tol=0.0),
         dict(outer_tol=-1e-8),
+        dict(beta=float("nan")),
+        dict(beta=float("inf")),
+        dict(outer_tol=float("nan")),
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):

@@ -186,6 +186,12 @@ class TestTensorFormat:
         with pytest.raises(ValueError):
             read_tensor(path)
 
+    def test_entry_lines_after_nnz_zero_rejected(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(f"{FORMAT_HEADER} modes=2 shape=2,3 nnz=0\n1 1 5\n")
+        with pytest.raises(ValueError, match="expected 0 entry lines"):
+            read_tensor(path)
+
     def test_truncated_body_rejected(self, tmp_path):
         t = small_tensor()
         path = tmp_path / "t.txt"
@@ -332,6 +338,13 @@ class TestDenseReconstruct:
                     assert lam[i, j, n] == pytest.approx(
                         intensity_at(model, (i, j), n), rel=1e-12
                     )
+
+    def test_cap_counts_cells_beyond_int64(self):
+        # 2**64 cells: an int64 product wraps to 0.  Width 0 keeps the
+        # factors empty whatever their row count.
+        factors = [np.ones((2**16, 0))] * 4
+        with pytest.raises(ValueError, match="cap"):
+            dense_reconstruct(factors, np.ones((0, 1)), np.ones((1, 1)))
 
     def test_guarded_against_huge_grids(self):
         factors = [np.ones((1024, 1)) / 1024 for _ in range(4)]

@@ -57,7 +57,6 @@ from .solver import (
     fit_block_gs,
     fit_em,
     initialize,
-    mm_poisson_regression,
     mm_poisson_regression_group,
     read_report,
     write_report,
@@ -102,7 +101,6 @@ __all__ = [
     "intensity_at",
     "marginalize_to_scale",
     "match_motifs",
-    "mm_poisson_regression",
     "mm_poisson_regression_group",
     "motif_at_scale",
     "node_tile",

@@ -127,24 +127,17 @@ def match_motifs(fitted, reference) -> list[tuple[int, int, float]]:
     pass finest-scale matrices for multiresolution motifs).  Pairs are
     picked in descending similarity until the shorter side runs out;
     the result lists (fitted position, reference position, cosine) in
-    pick order.
+    pick order.  Equal similarities pick the lower fitted position,
+    then the lower reference position.
     """
     sims = np.array(
         [[cosine_similarity(f, r) for r in reference] for f in fitted]
     )
     out: list[tuple[int, int, float]] = []
-    if sims.size == 0:
-        return out
-    open_f = set(range(len(fitted)))
-    open_r = set(range(len(reference)))
-    while open_f and open_r:
-        best = max(
-            ((i, j) for i in open_f for j in open_r),
-            key=lambda ij: (sims[ij], -ij[0], -ij[1]),
-        )
-        out.append((best[0], best[1], float(sims[best])))
-        open_f.discard(best[0])
-        open_r.discard(best[1])
+    for _ in range(min(sims.shape)):
+        i, j = divmod(int(sims.argmax()), sims.shape[1])
+        out.append((i, j, float(sims[i, j])))
+        sims[i, :] = sims[:, j] = -np.inf
     return out
 
 
@@ -193,7 +186,7 @@ def simulate(
     if method != "superposition":
         raise ValueError(f"unknown sampling method {method!r}")
     events = rng.poisson(rates)
-    chunks = []
+    chunks = [np.empty((0, model.n_modes + 1), dtype=np.int64)]
     for h in range(model.n_terms):
         total = int(events[h].sum())
         if total == 0:
@@ -213,12 +206,6 @@ def simulate(
             draws = rng.random(total)
             cells[:, p] = (draws[None, :] > cdf).sum(axis=0)
         chunks.append(cells)
-    if not chunks:
-        return SparseCountTensor.from_entries(
-            shape,
-            np.empty((0, model.n_modes + 1), dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
     idx = np.vstack(chunks)
     return SparseCountTensor.from_entries(
         shape, idx, np.ones(len(idx), dtype=np.int64)
@@ -240,10 +227,12 @@ def write_motif_svg(matrix: np.ndarray, path, top_edges: int = 20) -> int:
     self-loops), opacity proportional to weight.  Returns the number
     of edges drawn.
     """
+    if top_edges < 0:
+        raise ValueError("top_edges must be >= 0")
     width, height = SVG_SIZE
     matrix = np.asarray(matrix, dtype=np.float64)
     size = matrix.shape[0]
-    scale = int(round(np.log(size) / np.log(4)))
+    scale = (size.bit_length() - 1) // 2
     if matrix.shape != (size, size) or 4**scale != size:
         raise ValueError("motif matrix must be 4**s square")
     grid = 2**scale

@@ -68,8 +68,6 @@ def _geometry(args) -> FieldGeometry:
 
 def cmd_encode(args) -> int:
     table = parse_events(args.events, _geometry(args))
-    if table.n_events == 0:
-        raise ValueError("no events to encode")
     tensor = build_tensor(table, args.scales)
     sptensor.write_tensor(tensor, args.out)
     sparsity = 100.0 * (1.0 - tensor.nnz / tensor.n_cells)
@@ -100,6 +98,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_motifs(args) -> int:
+    if args.top < 0 or args.edges < 0:
+        raise ValueError("--top and --edges must be >= 0")
     fitted = read_model(args.model)
     scales = range(1, _grid_depth(fitted.mode_sizes) + 1)
     if args.scales:

@@ -109,7 +109,8 @@ class EventTable:
         return len(self.replicates)
 
 
-def _standardize_axis(values, size, label):
+def _standardize_axis(values, size, label, mirror=False):
+    """Check raw values; map [0, size] to [0, 1), reversed if mirror."""
     v = np.asarray(values, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError(f"non-finite {label} coordinate")
@@ -120,6 +121,8 @@ def _standardize_axis(values, size, label):
             f"{label} coordinate {float(v[j])} outside [0, {size}] "
             f"beyond tolerance {_BOUNDARY_TOL}"
         )
+    if mirror:
+        v = size - v
     u = np.clip(v, 0.0, size) / size
     # Exact-boundary passes are kept in the last tile, not dropped.
     return np.minimum(u, _BELOW_ONE)
@@ -136,8 +139,8 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     Blank lines are skipped; there is no comment character, so a field
     may start with ``#``.  Numbers are read as Python's ``float``
     reads them (``" 5 "`` and ``1_0`` included).  If the geometry says
-    the data attack right-to-left, the x axis is mirrored so every
-    parsed table attacks left-to-right.
+    the data attack right-to-left, x is mirrored after its range check
+    so every parsed table attacks left-to-right.
 
     The body is tokenized once by numpy.  A file numpy cannot read, one
     with a malformed row or a number only ``float`` reads (``1_0``,
@@ -190,13 +193,10 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
             raise error
     replicates, rep_idx = _replicates(rows)
 
-    length = geometry.length
-    if geometry.attack_direction == "right_to_left":
-        for c in ("x_o", "x_d"):
-            rows[c] = length - np.clip(rows[c], 0.0, length)
-    sizes = (length, geometry.width) * 2
+    mirror = geometry.attack_direction == "right_to_left"
+    sizes = (geometry.length, geometry.width) * 2
     coords = np.column_stack([
-        _standardize_axis(rows[c], size, c)
+        _standardize_axis(rows[c], size, c, mirror and c[0] == "x")
         for c, size in zip(_COLUMNS[3:], sizes)
     ])
     return EventTable(replicates, rep_idx, coords)

@@ -228,8 +228,6 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     for phi in model.factors:
         colsum *= phi.sum(axis=0)
     linear = float(colsum @ model.component_scale())
-    if tensor.nnz == 0:
-        return linear
     # Mix components into terms once per cell, then dot each entry's
     # cell row with its replicate's scores.
     cells, inverse = tensor.cell_groups()

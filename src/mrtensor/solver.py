@@ -285,27 +285,6 @@ def mm_poisson_regression_group(
     return np.ascontiguousarray(bt.T), sweeps
 
 
-def mm_poisson_regression(
-    design: np.ndarray,
-    counts: np.ndarray,
-    start: np.ndarray,
-    tol: float = SolverConfig.inner_tol,
-    max_iter: int = 250,
-) -> tuple[np.ndarray, int]:
-    """Single unpenalized Poisson regression; see the group form."""
-    start = np.asarray(start, dtype=np.float64)
-    B, sweeps = mm_poisson_regression_group(
-        design,
-        counts,
-        np.zeros(len(counts), dtype=np.int64),
-        start.reshape(-1, 1),
-        beta=0.0,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return B[:, 0], sweeps
-
-
 def initialize(
     config: SolverConfig, shape: tuple[int, ...], total_count: float
 ) -> CpBtdModel:
@@ -316,6 +295,8 @@ def initialize(
     split evenly across terms and replicates, each entry perturbed by
     +-10% so that no two terms start identical.
     """
+    if not total_count > 0:
+        raise ValueError("cannot fit an empty tensor")
     if len(shape) < 2:
         raise ValueError("need at least one mode plus the replicate mode")
     ranks = config.resolved_ranks()
@@ -431,8 +412,6 @@ def penalized_objective(
     they enter once per mode.
     """
     f = objective(model, tensor)
-    if beta == 0 or not math.isfinite(f):
-        return f
     usage = model.term_usage()
     tau = model.component_scale()
     pen = float(
@@ -461,8 +440,6 @@ def fit_block_gs(
     or a non-finite objective, raises SolverError carrying the partial
     report.
     """
-    if tensor.total <= 0:
-        raise ValueError("cannot fit an empty tensor")
     t0 = time.perf_counter()
     model = initialize(config, tensor.shape, float(tensor.total))
     beta = config.shrinkage_strength(tensor.nnz)
@@ -539,8 +516,6 @@ def fit_em(
     """
     if config.beta != 0:
         raise ValueError("the EM backend is unpenalized; set beta = 0")
-    if tensor.total <= 0:
-        raise ValueError("cannot fit an empty tensor")
     ranks = config.resolved_ranks()
     total_rank = sum(ranks)
     if tensor.nnz * total_rank > EM_ENTRY_CAP:

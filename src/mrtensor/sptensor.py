@@ -74,17 +74,16 @@ class SparseCountTensor:
         counts = np.asarray(counts, dtype=np.int64)
         if indices.ndim != 2:
             indices = indices.reshape(len(counts), -1)
-        if len(indices):
-            order = np.lexsort(indices.T[::-1])
-            indices = indices[order]
-            counts = counts[order]
-            new_group = np.ones(len(indices), dtype=bool)
-            new_group[1:] = (np.diff(indices, axis=0) != 0).any(axis=1)
-            starts = np.flatnonzero(new_group)
-            counts = np.add.reduceat(counts, starts)
-            indices = indices[starts]
-            keep = counts != 0
-            indices, counts = indices[keep], counts[keep]
+        order = np.lexsort(indices.T[::-1])
+        indices = indices[order]
+        counts = counts[order]
+        new_group = np.ones(len(indices), dtype=bool)
+        new_group[1:] = (np.diff(indices, axis=0) != 0).any(axis=1)
+        starts = np.flatnonzero(new_group)
+        counts = np.add.reduceat(counts, starts)
+        indices = indices[starts]
+        keep = counts != 0
+        indices, counts = indices[keep], counts[keep]
         return cls(tuple(shape), indices, counts)
 
     @property

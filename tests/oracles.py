@@ -147,7 +147,7 @@ def mm_sweeps_per_span(design, counts, segment, start, beta=0.0,
 EVENT_COLUMNS = ("replicate_id", "team", "minutes", "x_o", "y_o", "x_d", "y_d")
 
 
-def _standardize_axis_rows(values, size, label):
+def _standardize_axis_rows(values, size, label, mirror=False):
     v = np.asarray(values, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError(f"non-finite {label} coordinate")
@@ -158,6 +158,8 @@ def _standardize_axis_rows(values, size, label):
             f"{label} coordinate {float(v[j])} outside [0, {size}] "
             "beyond tolerance 1e-06"
         )
+    if mirror:
+        v = size - v
     u = np.clip(v, 0.0, size) / size
     return np.minimum(u, np.nextafter(1.0, 0.0))
 
@@ -210,16 +212,13 @@ def parse_events_rows(source, geometry):
             raw[c].append(coords[c])
 
     length, width = geometry.length, geometry.width
-    xo = np.asarray(raw["x_o"], dtype=np.float64)
-    xd = np.asarray(raw["x_d"], dtype=np.float64)
-    if geometry.attack_direction == "right_to_left":
-        xo = length - np.clip(xo, 0.0, length)
-        xd = length - np.clip(xd, 0.0, length)
+    # Off-field x is checked before mirroring, in either direction.
+    mirror = geometry.attack_direction == "right_to_left"
     coords = np.column_stack(
         [
-            _standardize_axis_rows(xo, length, "x_o"),
+            _standardize_axis_rows(raw["x_o"], length, "x_o", mirror),
             _standardize_axis_rows(raw["y_o"], width, "y_o"),
-            _standardize_axis_rows(xd, length, "x_d"),
+            _standardize_axis_rows(raw["x_d"], length, "x_d", mirror),
             _standardize_axis_rows(raw["y_d"], width, "y_d"),
         ]
     ) if rep_idx else np.empty((0, 4))

@@ -39,7 +39,7 @@ from mrtensor.solver import (
     SolverConfig,
     fit_block_gs,
     fit_em,
-    mm_poisson_regression,
+    mm_poisson_regression_group,
     penalized_objective,
 )
 from mrtensor.sptensor import SparseCountTensor, dense_reconstruct
@@ -202,9 +202,10 @@ class TestCriterion3:
         rng = np.random.default_rng(777)
         for case in range(500):
             design, counts = random_regression_instance(rng)
-            coef, _ = mm_poisson_regression(
-                design, counts, np.ones(design.shape[1]),
-                tol=1e-12, max_iter=5000)
+            coef, _ = mm_poisson_regression_group(
+                design, counts, np.zeros(len(counts), dtype=np.int64),
+                np.ones((design.shape[1], 1)), tol=1e-12, max_iter=5000)
+            coef = coef[:, 0]
             fitted_obj = poisson_objective(design, counts, coef)
             _, grid_obj = grid_minimize_poisson(design, counts)
             if abs(fitted_obj - grid_obj) > 1e-6:

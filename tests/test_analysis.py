@@ -211,6 +211,19 @@ class TestMotifRanking:
 
     def test_matching_empty(self):
         assert match_motifs([], [np.ones(2)]) == []
+        assert match_motifs([np.ones(2)], []) == []
+
+    def test_matching_ties_pick_lower_positions_first(self):
+        # Every pair has cosine 1: picks run down the diagonal.
+        same = [np.array([1.0, 2.0])] * 3
+        pairs = match_motifs(same, same[:2])
+        assert [(i, j) for i, j, _ in pairs] == [(0, 0), (1, 1)]
+        # Fitted 1 ties fitted 0 for reference 1; the lower one wins,
+        # and fitted 1 then takes what is left.
+        fitted = [np.array([0.0, 1.0]), np.array([0.0, 1.0])]
+        reference = [np.array([1.0, 1.0]), np.array([0.0, 1.0])]
+        pairs = match_motifs(fitted, reference)
+        assert [(i, j) for i, j, _ in pairs] == [(0, 1), (1, 0)]
 
 
 class TestSimulate:
@@ -304,3 +317,12 @@ class TestExports:
             write_motif_svg(np.ones((3, 3)), tmp_path / "m.svg")
         with pytest.raises(ValueError):
             write_motif_svg(np.ones((4, 5)), tmp_path / "m.svg")
+
+    def test_svg_rejects_empty_matrix(self, tmp_path):
+        with pytest.raises(ValueError, match="4\\*\\*s square"):
+            write_motif_svg(np.zeros((0, 0)), tmp_path / "m.svg")
+
+    def test_svg_rejects_negative_edge_count(self, tmp_path):
+        with pytest.raises(ValueError, match="top_edges"):
+            write_motif_svg(np.ones((4, 4)), tmp_path / "m.svg", top_edges=-3)
+        assert not (tmp_path / "m.svg").exists()

@@ -102,6 +102,14 @@ class TestEncode:
         )
         assert not (tmp_path / "t.txt").exists()
 
+    def test_header_only_csv_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(EVENTS.splitlines()[0] + "\n")
+        out = tmp_path / "t.txt"
+        assert main(["encode", str(path), "-S", "1", "--out", str(out)]) == 2
+        assert "no replicates to encode" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = main([
             "encode", str(tmp_path / "nope.csv"), "-S", "1",
@@ -355,6 +363,18 @@ class TestMotifs:
         err = capsys.readouterr().err
         assert "quadrant pairs" in err
         assert "warning" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag", ["--top", "--edges"])
+    def test_negative_count_exits_two_first(
+        self, tmp_path, fitted_model, flag, capsys
+    ):
+        outdir = tmp_path / "motifs"
+        code = main([
+            "motifs", str(fitted_model), flag, "-1", "--out", str(outdir),
+        ])
+        assert code == 2
+        assert "must be >= 0" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_top_zero_writes_nothing(self, tmp_path, fitted_model):

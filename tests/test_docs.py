@@ -1,13 +1,16 @@
-"""The README's library quickstart and the demos run as written."""
+"""The README's quickstart, its CLI block and the demos run as written."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from mrtensor.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -32,6 +35,25 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch):
     write_season(tmp_path / "season.csv")
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    text = (ROOT / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text,
+                                          flags=re.DOTALL)
+             for line in block.splitlines() if line.startswith("mrtensor ")]
+    assert len(lines) == 6
+    write_season(tmp_path / "season.csv")
+    # One usage rate per term (the fit line's -H 12) and match.
+    header = "term," + ",".join(f"m{k}" for k in range(8))
+    rows = [f"{h + 1}," + ",".join(["20"] * 8) for h in range(12)]
+    (tmp_path / "rates.csv").write_text("\n".join([header] + rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = Path(argv[argv.index("--out") + 1])
+        assert out.is_file() or any(out.iterdir()), line
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

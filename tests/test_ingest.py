@@ -119,6 +119,31 @@ class TestStandardization:
                 parse(make_csv(["m1,a,90,116,0,0,0"]), FieldGeometry())
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("row, message", [
+        ("m1,a,90,200,0,0,0", "x_o coordinate 200.0 outside [0, 115.0]"),
+        ("m1,a,90,0,0,-50,0", "x_d coordinate -50.0 outside [0, 115.0]"),
+    ])
+    @pytest.mark.parametrize("direction", ["left_to_right", "right_to_left"])
+    def test_off_field_x_rejected_in_either_direction(
+        self, row, message, direction
+    ):
+        # The raw value is checked before the mirror, so the message
+        # names it as written.
+        geom = FieldGeometry(attack_direction=direction)
+        for parse in (parse_events, parse_events_rows):
+            with pytest.raises(ValueError) as exc:
+                parse(make_csv([row]), geom)
+            assert str(exc.value) == message + " beyond tolerance 1e-06"
+
+    @pytest.mark.parametrize("direction", ["left_to_right", "right_to_left"])
+    def test_non_finite_coordinate_rejected(self, direction):
+        geom = FieldGeometry(attack_direction=direction)
+        for row in ("m1,a,90,nan,0,0,0", "m1,a,90,inf,0,0,0"):
+            for parse in (parse_events, parse_events_rows):
+                with pytest.raises(ValueError) as exc:
+                    parse(make_csv([row]), geom)
+                assert str(exc.value) == "non-finite x_o coordinate"
+
     def test_right_to_left_mirrors_x_only(self):
         geom = FieldGeometry(attack_direction="right_to_left")
         table = parse_events(make_csv(["m1,a,90,10,10,80,60"]), geom)

@@ -211,6 +211,14 @@ class TestObjective:
         t = SparseCountTensor((2, 2, 1), np.array([[1, 1, 0]]), np.array([2]))
         assert objective(m, t) == math.inf
 
+    def test_empty_tensor_is_the_linear_term(self):
+        rng = np.random.default_rng(42)
+        m = random_model(rng, sizes=(3, 4), ranks=(2, 1), n_rep=2)
+        t = SparseCountTensor(
+            (3, 4, 2), np.empty((0, 3), dtype=np.int64), np.empty(0))
+        lam = dense_reconstruct(m.factors, m.omega_matrix(), m.upsilon)
+        assert objective(m, t) == pytest.approx(lam.sum(), rel=1e-12)
+
     def test_shape_mismatch_rejected(self):
         m = tiny_model()
         t = SparseCountTensor((3, 2, 1), np.array([[0, 0, 0]]), np.array([1]))

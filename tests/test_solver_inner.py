@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from mrtensor.solver import (
-    mm_poisson_regression,
-    mm_poisson_regression_group,
-)
+from mrtensor.solver import mm_poisson_regression_group
 
 from oracles import (
     grid_minimize_poisson,
@@ -17,13 +14,22 @@ from oracles import (
 )
 
 
+def single_regression(design, counts, start, **kwargs):
+    """One unpenalized regression: the group form with one segment."""
+    segment = np.zeros(len(counts), dtype=np.int64)
+    start = np.asarray(start, dtype=np.float64).reshape(-1, 1)
+    B, sweeps = mm_poisson_regression_group(
+        design, counts, segment, start, **kwargs)
+    return B[:, 0], sweeps
+
+
 class TestClosedForms:
     def test_single_coefficient_converges_in_one_sweep(self):
         # With one coefficient the optimum is the total count, whatever
         # the (positive) design column looks like.
         design = np.array([[0.3], [0.9], [0.1]])
         counts = np.array([4.0, 2.0, 5.0])
-        b, sweeps = mm_poisson_regression(design, counts, np.array([7.0]))
+        b, sweeps = single_regression(design, counts, np.array([7.0]))
         assert b[0] == pytest.approx(11.0, abs=1e-12)
         assert sweeps <= 2
 
@@ -32,14 +38,14 @@ class TestClosedForms:
         # of the diagonal scaling.
         design = np.diag([0.2, 0.7, 1.3])
         counts = np.array([3.0, 8.0, 1.0])
-        b, _ = mm_poisson_regression(design, counts, np.ones(3))
+        b, _ = single_regression(design, counts, np.ones(3))
         np.testing.assert_allclose(b, counts, rtol=1e-8)
 
     def test_conservation_holds_on_random_instances(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
             design, counts = random_regression_instance(rng)
-            b, _ = mm_poisson_regression(
+            b, _ = single_regression(
                 design, counts, np.ones(design.shape[1])
             )
             assert b.sum() == pytest.approx(counts.sum(), rel=1e-12)
@@ -48,7 +54,7 @@ class TestClosedForms:
         rng = np.random.default_rng(62)
         for _ in range(20):
             design, counts = random_regression_instance(rng)
-            b, _ = mm_poisson_regression(
+            b, _ = single_regression(
                 design,
                 counts,
                 np.ones(design.shape[1]),
@@ -68,7 +74,7 @@ class TestSweepMechanics:
         b = np.full(design.shape[1], 3.0)
         prev = poisson_objective(design, counts, b)
         for _ in range(40):
-            b, _ = mm_poisson_regression(
+            b, _ = single_regression(
                 design, counts, b, tol=1e-300, max_iter=1
             )
             cur = poisson_objective(design, counts, b)
@@ -115,7 +121,7 @@ class TestSweepMechanics:
                 if not rows.any():
                     np.testing.assert_array_equal(B[:, c], 0.0)
                     continue
-                b, _ = mm_poisson_regression(
+                b, _ = single_regression(
                     design[rows], counts[rows], start[:, c],
                     tol=1e-300, max_iter=60,
                 )
@@ -180,7 +186,7 @@ class TestSweepMechanics:
     def test_respects_max_iter(self):
         rng = np.random.default_rng(66)
         design, c = random_regression_instance(rng)
-        _, sweeps = mm_poisson_regression(
+        _, sweeps = single_regression(
             design, c, np.ones(design.shape[1]), tol=1e-300, max_iter=7
         )
         assert sweeps == 7
@@ -223,29 +229,29 @@ class TestValidation:
     def test_infeasible_row_rejected(self):
         design = np.array([[0.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match="infeasible"):
-            mm_poisson_regression(design, np.array([1.0, 1.0]), np.ones(2))
+            single_regression(design, np.array([1.0, 1.0]), np.ones(2))
 
     def test_nonpositive_counts_rejected(self):
         design = np.ones((2, 1))
         with pytest.raises(ValueError, match="counts"):
-            mm_poisson_regression(design, np.array([1.0, 0.0]), np.ones(1))
+            single_regression(design, np.array([1.0, 0.0]), np.ones(1))
 
     def test_negative_design_rejected(self):
         design = np.array([[-0.1], [0.5]])
         with pytest.raises(ValueError, match="designs"):
-            mm_poisson_regression(design, np.array([1.0, 1.0]), np.ones(1))
+            single_regression(design, np.array([1.0, 1.0]), np.ones(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_design_rejected(self, bad):
         design = np.array([[0.5, bad], [0.5, 0.5]])
         with pytest.raises(ValueError, match="designs must be finite"):
-            mm_poisson_regression(design, np.array([1.0, 1.0]), np.ones(2))
+            single_regression(design, np.array([1.0, 1.0]), np.ones(2))
 
     def test_overflowing_row_sum_accepted(self):
         # Finite entries whose row sum overflows are a valid design.
         design = np.array([[1e308, 1e308], [0.5, 0.5]])
         with np.errstate(over="ignore"):
-            B, sweeps = mm_poisson_regression(
+            B, sweeps = single_regression(
                 design, np.array([1.0, 1.0]), np.ones(2), max_iter=1
             )
         assert sweeps == 1 and np.isfinite(B).all()
@@ -253,7 +259,7 @@ class TestValidation:
     def test_negative_zero_row_is_dead(self):
         design = np.array([[0.5, 0.5], [-0.0, -0.0]])
         with pytest.raises(ValueError) as exc:
-            mm_poisson_regression(design, np.array([1.0, 1.0]), np.ones(2))
+            single_regression(design, np.array([1.0, 1.0]), np.ones(2))
         assert str(exc.value) == (
             "infeasible row: observation 1 has a positive count but an "
             "all-zero design row"
@@ -262,13 +268,13 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_count_rejected(self, bad):
         with pytest.raises(ValueError, match="counts must be positive"):
-            mm_poisson_regression(
+            single_regression(
                 np.ones((2, 1)), np.array([1.0, bad]), np.ones(1)
             )
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError, match="start"):
-            mm_poisson_regression(
+            single_regression(
                 np.ones((1, 1)), np.array([1.0]), np.array([-1.0])
             )
 

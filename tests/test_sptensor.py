@@ -65,6 +65,12 @@ class TestCanonicalForm:
         assert t.nnz == 1
         np.testing.assert_array_equal(t.indices, [[1, 0]])
 
+    def test_from_entries_one_mode_from_flat_indices(self):
+        t = SparseCountTensor.from_entries((5,), [3, 1, 3, 0], [1, 2, 3, 0])
+        assert t.shape == (5,)
+        np.testing.assert_array_equal(t.indices, [[1], [3]])
+        np.testing.assert_array_equal(t.counts, [2, 4])
+
     def test_counters(self):
         t = small_tensor()
         assert t.ndim == 3

@@ -10,7 +10,6 @@ optional shrinkage that prunes redundant terms automatically.
 from .analysis import (
     DissimilarityMatrix,
     bray_curtis,
-    cosine_similarity,
     dissimilarity_matrix,
     match_motifs,
     rank_motifs,
@@ -43,7 +42,6 @@ from .model import (
     ScoreSummary,
     effective_rank,
     effective_terms,
-    intensity_at,
     motif_at_scale,
     normalize_scores,
     objective,
@@ -87,7 +85,6 @@ __all__ = [
     "bray_curtis",
     "build_tensor",
     "chain_index",
-    "cosine_similarity",
     "decode_binary_code",
     "dense_reconstruct",
     "dissimilarity_matrix",
@@ -98,7 +95,6 @@ __all__ = [
     "fit_em",
     "fold_to_multiindex",
     "initialize",
-    "intensity_at",
     "marginalize_to_scale",
     "match_motifs",
     "mm_poisson_regression_group",

@@ -43,6 +43,8 @@ def bray_curtis(u, v) -> float:
 
 @dataclass(frozen=True)
 class DissimilarityMatrix:
+    """Symmetric team x team matrix, rows and columns in ``labels`` order."""
+
     labels: tuple[str, ...]
     values: np.ndarray
 
@@ -95,6 +97,7 @@ def dissimilarity_matrix(
 
 
 def write_dissimilarity_csv(dissim: DissimilarityMatrix, path) -> None:
+    """CSV with a ``team`` header row and one labelled row per team."""
     with open(path, "w") as handle:
         handle.write("team," + ",".join(dissim.labels) + "\n")
         for label, row in zip(dissim.labels, dissim.values):
@@ -111,15 +114,6 @@ def rank_motifs(model: CpBtdModel) -> list[tuple[int, float]]:
     return sorted(active, key=lambda item: (-item[1], item[0]))
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("cosine similarity of a zero vector is undefined")
-    return float(a @ b) / (na * nb)
-
-
 def match_motifs(fitted, reference) -> list[tuple[int, int, float]]:
     """Greedy best-cosine assignment between two motif collections.
 
@@ -128,11 +122,17 @@ def match_motifs(fitted, reference) -> list[tuple[int, int, float]]:
     picked in descending similarity until the shorter side runs out;
     the result lists (fitted position, reference position, cosine) in
     pick order.  Equal similarities pick the lower fitted position,
-    then the lower reference position.
+    then the lower reference position.  An all-zero motif has no
+    direction and raises.
     """
-    sims = np.array(
-        [[cosine_similarity(f, r) for r in reference] for f in fitted]
-    )
+    if not (len(fitted) and len(reference)):
+        return []
+    f = np.array([np.ravel(m) for m in fitted], dtype=np.float64)
+    r = np.array([np.ravel(m) for m in reference], dtype=np.float64)
+    norms_f, norms_r = np.linalg.norm(f, axis=1), np.linalg.norm(r, axis=1)
+    if not (norms_f.all() and norms_r.all()):
+        raise ValueError("cosine similarity of a zero vector is undefined")
+    sims = (f @ r.T) / np.outer(norms_f, norms_r)
     out: list[tuple[int, int, float]] = []
     for _ in range(min(sims.shape)):
         i, j = divmod(int(sims.argmax()), sims.shape[1])

@@ -13,6 +13,7 @@ that tile indices at any dyadic scale stay in range.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -54,6 +55,8 @@ class FieldGeometry:
 
 @dataclass(frozen=True)
 class Replicate:
+    """One replicate's id, its team and the minutes it covers."""
+
     replicate_id: str
     team: str
     minutes: float
@@ -128,6 +131,18 @@ def _standardize_axis(values, size, label, mirror=False):
     return np.minimum(u, _BELOW_ONE)
 
 
+@contextlib.contextmanager
+def _any_field_size():
+    # csv then reads a field of any length, as numpy does; parse_events
+    # holds the whole file in memory anyway.
+    old = csv.field_size_limit(2**31 - 1)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+@_any_field_size()
 def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     """Parse a pass-event CSV into a standardized EventTable.
 
@@ -145,13 +160,12 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     The body is tokenized once by numpy.  A file numpy cannot read, one
     with a malformed row or a number only ``float`` reads (``1_0``,
     non-ASCII digits), is read again row by row with ``csv`` and
-    ``float``; only that reading applies ``csv.field_size_limit()``.
+    ``float``.
 
     Raises ValueError on missing columns, a malformed row (too short,
-    a number ``float`` rejects, or a field ``csv`` cannot read, such as
-    one longer than ``csv.field_size_limit()`` in a file read row by
-    row), non-positive minutes, conflicting metadata for one
-    replicate_id, or coordinates outside the field beyond tolerance.
+    a number ``float`` rejects, or a field ``csv`` cannot read),
+    non-positive minutes, conflicting metadata for one replicate_id,
+    or coordinates outside the field beyond tolerance.
     A row error names ``line N``: the header is line 1 and each
     non-blank row one more.
     """

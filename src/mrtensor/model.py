@@ -143,18 +143,6 @@ class CpBtdModel:
         )
 
 
-def intensity_at(model: CpBtdModel, cell, replicate: int) -> float:
-    """Model intensity at one cell (0-based) of one replicate."""
-    cell = tuple(int(i) for i in cell)
-    if len(cell) != model.n_modes:
-        raise ValueError("cell must index every non-replicate mode")
-    prod = model.omega.copy()
-    for p, i in enumerate(cell):
-        prod *= model.factors[p][i, :]
-    scores = model.upsilon[model.block_of_component(), replicate]
-    return float(prod @ scores)
-
-
 def motif_at_scale(model: CpBtdModel, term: int, scale: int) -> np.ndarray:
     """Render term ``term`` as its origin x destination matrix at a scale.
 

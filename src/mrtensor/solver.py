@@ -135,6 +135,7 @@ class FitReport:
 
 
 def write_report(report: FitReport, path) -> None:
+    """Trace CSV: one row per outer iteration, row 0 the initialization."""
     with open(path, "w") as handle:
         handle.write("outer_iter,objective,inner_iters_total,effective_H\n")
         rows = zip(
@@ -145,6 +146,7 @@ def write_report(report: FitReport, path) -> None:
 
 
 def read_report(path) -> FitReport:
+    """Read a trace CSV; backend and stop_reason "unknown", duration NaN."""
     with open(path, "r") as handle:
         header = handle.readline().strip()
         if header != "outer_iter,objective,inner_iters_total,effective_H":
@@ -175,7 +177,6 @@ def mm_poisson_regression_group(
     segment: np.ndarray,
     start: np.ndarray,
     beta: float = 0.0,
-    epsilon: float = SolverConfig.epsilon,
     tol: float = SolverConfig.inner_tol,
     max_iter: int = 250,
 ) -> tuple[np.ndarray, int]:
@@ -195,9 +196,9 @@ def mm_poisson_regression_group(
         Initial coefficients; zero entries stay zero (the update is
         multiplicative), which is how inactive components are kept
         frozen across calls.
-    beta, epsilon
-        Strength and offset of the penalty
-        beta * sum_k log(epsilon + sum_c b[k, c]).
+    beta
+        Strength of the penalty beta * sum_k log(epsilon + sum_c b[k, c]),
+        with the offset ``SolverConfig.epsilon``.
 
     Returns
     -------
@@ -276,7 +277,7 @@ def mm_poisson_regression_group(
             np.matmul(ratio_c, rows, out=numer_c)
         np.multiply(bt, numer, out=new)
         if beta > 0:
-            new *= 1.0 / (1.0 + beta / (epsilon + bt.sum(axis=0)))
+            new *= 1.0 / (1.0 + beta / (SolverConfig.epsilon + bt.sum(0)))
         np.abs(np.subtract(new, bt, out=delta), out=delta)
         delta /= np.maximum(bt, 1e-30, out=floor)
         bt[...] = new

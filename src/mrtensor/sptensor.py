@@ -73,7 +73,7 @@ class SparseCountTensor:
         indices = np.asarray(indices, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         if indices.ndim != 2:
-            indices = indices.reshape(len(counts), -1)
+            indices = indices.reshape(len(counts), len(shape))
         order = np.lexsort(indices.T[::-1])
         indices = indices[order]
         counts = counts[order]

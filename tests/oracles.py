@@ -144,6 +144,18 @@ def mm_sweeps_per_span(design, counts, segment, start, beta=0.0,
     return B, sweeps
 
 
+def intensity_at(model, cell, replicate: int) -> float:
+    """Model intensity at one cell (0-based) of one replicate."""
+    cell = tuple(int(i) for i in cell)
+    if len(cell) != model.n_modes:
+        raise ValueError("cell must index every non-replicate mode")
+    prod = model.omega.copy()
+    for p, i in enumerate(cell):
+        prod *= model.factors[p][i, :]
+    scores = model.upsilon[model.block_of_component(), replicate]
+    return float(prod @ scores)
+
+
 EVENT_COLUMNS = ("replicate_id", "team", "minutes", "x_o", "y_o", "x_d", "y_d")
 
 

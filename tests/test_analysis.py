@@ -7,7 +7,6 @@ import pytest
 
 from mrtensor.analysis import (
     bray_curtis,
-    cosine_similarity,
     dissimilarity_matrix,
     match_motifs,
     rank_motifs,
@@ -194,10 +193,14 @@ class TestMotifRanking:
         assert ranked == [(0, 3.0), (1, 3.0)]
 
     def test_cosine_basics(self):
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-        assert cosine_similarity([2, 0], [5, 0]) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            cosine_similarity([0, 0], [1, 0])
+        # Matched cosines: parallel motifs score 1, orthogonal ones 0,
+        # whatever their scale; a zero motif on either side raises.
+        pairs = match_motifs([[2, 0], [0, 3]], [[5, 0], [1, 0]])
+        assert pairs == [(0, 0, 1.0), (1, 1, 0.0)]
+        with pytest.raises(ValueError, match="zero vector"):
+            match_motifs([[0, 0]], [[1, 0]])
+        with pytest.raises(ValueError, match="zero vector"):
+            match_motifs([[1, 0]], [[1, 0], [0, 0]])
 
     def test_greedy_matching(self):
         fitted = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]

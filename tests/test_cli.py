@@ -90,17 +90,22 @@ class TestEncode:
         assert not (tmp_path / "t.txt").exists()
 
     def test_overlong_field_exits_two(self, tmp_path, capsys):
+        # A long field is read whole: one that is not a number is the
+        # malformed row, and a bad row after a long number names itself.
         events = tmp_path / "events.csv"
         lines = EVENTS.splitlines()
-        row = 'm1,alpha,96,10,10,50,"' + "y" * 200_000 + '"'
-        events.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
-        code = main(["encode", str(events), "-S", "1",
-                     "--out", str(tmp_path / "t.txt")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "error: line 3: malformed row (field larger than field limit"
-        )
-        assert not (tmp_path / "t.txt").exists()
+        long_text = ['m1,alpha,96,10,10,50,"' + "y" * 200_000 + '"']
+        long_number = ['m1,alpha,96,10,10,50,"' + " " * 200_000 + '40"',
+                       "m1,alpha,96,oops,10,50,40"]
+        for rows, bad_line in ((long_text, 3), (long_number, 4)):
+            events.write_text("\n".join(lines[:2] + rows + lines[2:]) + "\n")
+            code = main(["encode", str(events), "-S", "1",
+                         "--out", str(tmp_path / "t.txt")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: line {bad_line}: malformed row (could not convert"
+            )
+            assert not (tmp_path / "t.txt").exists()
 
     def test_header_only_csv_exits_two(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -14,7 +14,6 @@ from mrtensor.model import (
     CpBtdModel,
     effective_rank,
     effective_terms,
-    intensity_at,
     motif_at_scale,
     normalize_scores,
     objective,
@@ -22,6 +21,8 @@ from mrtensor.model import (
     write_model,
 )
 from mrtensor.sptensor import SparseCountTensor, dense_reconstruct
+
+from oracles import intensity_at
 
 
 def random_model(rng, sizes, ranks, n_rep):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mrtensor.solver import mm_poisson_regression_group
+from mrtensor.solver import SolverConfig, mm_poisson_regression_group
 
 from oracles import (
     grid_minimize_poisson,
@@ -132,14 +132,13 @@ class TestSweepMechanics:
         # evaluated at the start, then scaled by the start's weight.
         design = np.array([[1.0], [1.0]])
         counts = np.array([1.0, 2.0])
-        beta, eps = 0.5, 1e-2
+        beta, eps = 0.5, SolverConfig.epsilon
         B, _ = mm_poisson_regression_group(
             design,
             counts,
             [0, 0],
             np.array([[1.0]]),
             beta=beta,
-            epsilon=eps,
             max_iter=1,
         )
         w = 1.0 / (1.0 + beta / (eps + 1.0))
@@ -151,7 +150,7 @@ class TestSweepMechanics:
         for _ in range(3):
             designs.append(rng.uniform(0.05, 1.0, size=(4, 2)))
             counts.append(rng.integers(1, 9, size=4).astype(float))
-        beta, eps = 2.0, 1e-8
+        beta, eps = 2.0, SolverConfig.epsilon
 
         def penalized(B):
             f = sum(
@@ -166,7 +165,7 @@ class TestSweepMechanics:
         for _ in range(30):
             B, _ = mm_poisson_regression_group(
                 np.vstack(designs), np.concatenate(counts), segment, B,
-                beta=beta, epsilon=eps, tol=1e-300, max_iter=1,
+                beta=beta, tol=1e-300, max_iter=1,
             )
             cur = penalized(B)
             assert cur <= prev + 1e-10 * max(1.0, abs(prev))

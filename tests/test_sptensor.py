@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrtensor.model import CpBtdModel, intensity_at
+from mrtensor.model import CpBtdModel
 from mrtensor.solver import block_design
 from mrtensor.sptensor import (
     FORMAT_HEADER,
@@ -22,7 +22,7 @@ from mrtensor.sptensor import (
     read_tensor,
     write_tensor,
 )
-from oracles import write_tensor_rows
+from oracles import intensity_at, write_tensor_rows
 
 
 def small_tensor():
@@ -70,6 +70,11 @@ class TestCanonicalForm:
         assert t.shape == (5,)
         np.testing.assert_array_equal(t.indices, [[1], [3]])
         np.testing.assert_array_equal(t.counts, [2, 4])
+
+    def test_from_entries_one_mode_with_no_rows(self):
+        t = SparseCountTensor.from_entries((3,), [], [])
+        assert t.nnz == 0
+        assert t.indices.shape == (0, 1)
 
     def test_counters(self):
         t = small_tensor()

@@ -3,8 +3,10 @@
 # ======================================================
 # Six synthetic teams, each with its own spatial habits.  Every team's
 # passes are pooled into one origin x destination network per scale,
-# rescaled to a common amount of playing time, and compared pairwise
-# with the Bray-Curtis dissimilarity (0 identical, 1 disjoint).
+# divided by the team's total minutes to give per-minute rates, and
+# compared pairwise with the Bray-Curtis dissimilarity (0 identical, 1
+# disjoint).  Bray-Curtis is blind to a factor common to both networks,
+# so no reference duration is needed.
 
 import numpy as np
 

@@ -1,7 +1,7 @@
 """Comparisons, rankings, simulation, and motif rendering.
 
-The ecology-style toolkit around the fitted model: exposure-adjusted
-Bray-Curtis dissimilarity between teams' passing networks, usage
+The ecology-style toolkit around the fitted model: Bray-Curtis
+dissimilarity between teams' per-minute passing networks, usage
 rankings of fitted motifs, greedy cosine matching of motif sets, and a
 superposition sampler that draws synthetic event tensors from a model.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encode import _quadrant_columns, chain_index, node_tile
-from .ingest import EventTable, _reference_minutes, team_minutes
+from .ingest import EventTable, team_minutes
 from .model import CpBtdModel, RANK_THRESHOLD
 from .sptensor import SparseCountTensor, dense_reconstruct
 
@@ -54,27 +54,22 @@ class DissimilarityMatrix:
             raise ValueError("matrix must be square over the labels")
 
 
-def dissimilarity_matrix(
-    table: EventTable,
-    scale: int,
-    reference_minutes: float | None = None,
-) -> DissimilarityMatrix:
-    """Pairwise Bray-Curtis between teams' exposure-adjusted networks.
+def dissimilarity_matrix(table: EventTable, scale: int) -> DissimilarityMatrix:
+    """Pairwise Bray-Curtis between teams' per-minute passing networks.
 
     Every event is keyed by its team and its origin and destination
     nodes at the requested scale (chained quadrant labels, the node
     order of the adjacency matrices), and one bincount over the keys
     gives each team's origin x destination count matrix, pooled over
-    its replicates.  Each matrix is multiplied by the team's exposure
-    factor (reference minutes over the team's total minutes, reference
-    defaulting to the across-team mean), then compared entrywise.  A
-    team with no passes has no network to compare and raises.
+    its replicates.  Dividing by the team's total minutes makes each a
+    per-minute rate; Bray-Curtis is blind to a factor common to both
+    vectors, so no reference duration is needed.  A team with no passes
+    has no network to compare and raises.
     """
     minutes = team_minutes(table)
     teams = tuple(minutes)
     if not teams:
         raise ValueError("table has no teams")
-    reference_minutes = _reference_minutes(minutes, reference_minutes)
     quadrants = _quadrant_columns(table.coords, scale)
     team_of_rep = np.array([teams.index(rep.team) for rep in table.replicates])
     size = 4**scale
@@ -82,17 +77,16 @@ def dissimilarity_matrix(
         team_of_rep[table.replicate_index] * size
         + chain_index(quadrants[:, 0::2])
     ) * size + chain_index(quadrants[:, 1::2])
-    nets = np.bincount(key, minlength=len(teams) * size * size)
-    nets = nets.reshape(len(teams), size * size)
-    vecs = []
-    for k, team in enumerate(teams):
-        if not nets[k].any():
-            raise ValueError(f"team {team!r} has no passes")
-        vecs.append(nets[k] * (reference_minutes / minutes[team]))
+    counts = np.bincount(key, minlength=len(teams) * size * size)
+    totals = np.array(list(minutes.values()))
+    rates = counts.reshape(len(teams), size * size) / totals[:, None]
+    idle = ~rates.any(axis=1)
+    if idle.any():
+        raise ValueError(f"team {teams[idle.argmax()]!r} has no passes")
     out = np.zeros((len(teams), len(teams)))
     for i in range(len(teams)):
         for j in range(i + 1, len(teams)):
-            out[i, j] = out[j, i] = bray_curtis(vecs[i], vecs[j])
+            out[i, j] = out[j, i] = bray_curtis(rates[i], rates[j])
     return DissimilarityMatrix(teams, out)
 
 

@@ -130,9 +130,7 @@ def cmd_motifs(args) -> int:
 
 def cmd_dissim(args) -> int:
     table = parse_events(args.events, _geometry(args))
-    dissim = analysis.dissimilarity_matrix(
-        table, args.scale, args.reference_minutes
-    )
+    dissim = analysis.dissimilarity_matrix(table, args.scale)
     analysis.write_dissimilarity_csv(dissim, args.out)
     print(f"teams={len(dissim.labels)} scale={args.scale}")
     return 0
@@ -187,12 +185,13 @@ def cmd_scores(args) -> int:
 
 
 def _add_geometry(parser):
-    parser.add_argument("--length", type=float, default=115.0)
-    parser.add_argument("--width", type=float, default=74.0)
+    pitch = FieldGeometry()
+    parser.add_argument("--length", type=float, default=pitch.length)
+    parser.add_argument("--width", type=float, default=pitch.width)
     parser.add_argument(
         "--attack-direction",
         choices=("left_to_right", "right_to_left"),
-        default="left_to_right",
+        default=pitch.attack_direction,
     )
 
 
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dissim", help="team dissimilarity matrix")
     p.add_argument("events")
     p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--reference-minutes", type=float)
     p.add_argument("--out", required=True)
     _add_geometry(p)
     p.set_defaults(func=cmd_dissim)

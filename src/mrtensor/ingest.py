@@ -167,7 +167,7 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     non-positive minutes, conflicting metadata for one replicate_id,
     or coordinates outside the field beyond tolerance.
     A row error names ``line N``: the header is line 1 and each
-    non-blank row one more.
+    non-blank row one more.  It quotes at most 80 characters of a cell.
     """
     geometry = geometry or FieldGeometry()
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -227,7 +227,7 @@ def _rescan(body: str, usecols: list[int]):
         for lineno, record in enumerate(records, start=2):
             cells = [record[k] if k < len(record) else None for k in usecols]
             try:
-                values = [float(cell) for cell in cells[2:]]
+                values = [_float(cell) for cell in cells[2:]]
                 if None in cells[:2]:
                     raise ValueError(f"no {_COLUMNS[cells.index(None)]} cell")
             except (TypeError, ValueError) as exc:
@@ -238,6 +238,21 @@ def _rescan(body: str, usecols: list[int]):
         # The reader failed on the row after the last one it returned.
         error = ValueError(f"line {lineno + 1}: malformed row ({exc})")
     return np.array(rows, dtype=_ROW), error
+
+
+def _shown(cell: str) -> str:
+    """repr of a cell's first 80 characters, '...' marking a cut."""
+    return repr(cell[:80]) + ("..." if len(cell) > 80 else "")
+
+
+def _float(cell):
+    """float(cell), whose error quotes the cell as ``_shown`` does."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(
+            f"could not convert string to float: {_shown(cell)}"
+        ) from None
 
 
 def _replicates(rows: np.ndarray):
@@ -256,7 +271,7 @@ def _replicates(rows: np.ndarray):
         if bad_minutes[k]:
             raise ValueError(f"line {k + 2}: minutes must be positive")
         raise ValueError(
-            f"line {k + 2}: replicate {ids[k]!r} redeclared with "
+            f"line {k + 2}: replicate {_shown(ids[k])} redeclared with "
             "different team or minutes"
         )
     reps = map(Replicate, ids[first], teams[first], minutes[first].tolist())
@@ -270,13 +285,3 @@ def team_minutes(table: EventTable) -> dict[str, float]:
         totals[rep.team] = totals.get(rep.team, 0.0) + rep.minutes
     return totals
 
-
-def _reference_minutes(
-    per_team: dict[str, float], reference_minutes: float | None
-) -> float:
-    """The given reference, or the mean of team totals; positive, finite."""
-    if reference_minutes is None:
-        reference_minutes = sum(per_team.values()) / len(per_team)
-    if not (reference_minutes > 0 and math.isfinite(reference_minutes)):
-        raise ValueError("reference_minutes must be positive and finite")
-    return reference_minutes

@@ -154,16 +154,11 @@ def motif_at_scale(model: CpBtdModel, term: int, scale: int) -> np.ndarray:
     """
     _grid_depth(model.mode_sizes, scale)
     blk = model.block(term)
-    size = 4**scale
-    out = np.zeros((size, size))
-    for r in range(blk.start, blk.stop):
-        origin = np.ones(1)
-        dest = np.ones(1)
-        for s in range(scale):
-            origin = np.kron(origin, model.factors[2 * s][:, r])
-            dest = np.kron(dest, model.factors[2 * s + 1][:, r])
-        out += model.omega[r] * np.outer(origin, dest)
-    return out
+    nodes = np.indices((4,) * scale).reshape(scale, -1).T
+    profiles = [phi[:, blk] for phi in model.factors[: 2 * scale]]
+    origin = factor_rows(nodes, profiles[0::2])
+    dest = factor_rows(nodes, profiles[1::2])
+    return (origin * model.omega[blk]) @ dest.T
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,14 @@ class SolverConfig:
     inner_tol = 1e-6
 
     def __post_init__(self):
+        one_rank = np.ndim(self.rank) == 0
+        counts = (self.n_terms, self.max_outer, self.max_inner, self.seed,
+                  *([self.rank] if one_rank else self.rank))
+        if not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise ValueError("counts, ranks and the seed must be integers")
         if self.n_terms < 1:
             raise ValueError("n_terms must be >= 1")
-        if isinstance(self.rank, (int, np.integer)):
+        if one_rank:
             if self.rank < 1:
                 raise ValueError("rank must be >= 1")
         else:

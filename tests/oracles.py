@@ -156,6 +156,22 @@ def intensity_at(model, cell, replicate: int) -> float:
     return float(prod @ scores)
 
 
+def motif_by_kron(model, term: int, scale: int):
+    """A term's origin x destination matrix at a scale, one component
+    at a time: Kronecker products of its per-scale profiles, coarsest
+    first, summed as omega-weighted outer products."""
+    blk = model.block(term)
+    out = np.zeros((4**scale, 4**scale))
+    for r in range(blk.start, blk.stop):
+        origin = np.ones(1)
+        dest = np.ones(1)
+        for s in range(scale):
+            origin = np.kron(origin, model.factors[2 * s][:, r])
+            dest = np.kron(dest, model.factors[2 * s + 1][:, r])
+        out += model.omega[r] * np.outer(origin, dest)
+    return out
+
+
 EVENT_COLUMNS = ("replicate_id", "team", "minutes", "x_o", "y_o", "x_d", "y_d")
 
 
@@ -174,6 +190,21 @@ def _standardize_axis_rows(values, size, label, mirror=False):
         v = size - v
     u = np.clip(v, 0.0, size) / size
     return np.minimum(u, np.nextafter(1.0, 0.0))
+
+
+def _quote_cell(text):
+    """repr of a cell's first 80 characters, '...' marking a cut."""
+    return repr(text[:80]) + ("..." if len(text) > 80 else "")
+
+
+def _float_cell(text):
+    """float(text); a ValueError quotes the cell as _quote_cell does."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(
+            "could not convert string to float: " + _quote_cell(text)
+        ) from None
 
 
 def parse_events_rows(source, geometry):
@@ -200,8 +231,8 @@ def parse_events_rows(source, geometry):
         try:
             rid = row["replicate_id"]
             team = row["team"]
-            minutes = float(row["minutes"])
-            coords = {c: float(row[c]) for c in raw}
+            minutes = _float_cell(row["minutes"])
+            coords = {c: _float_cell(row[c]) for c in raw}
             for name, cell in (("replicate_id", rid), ("team", team)):
                 if cell is None:
                     raise ValueError(f"no {name} cell")
@@ -213,8 +244,8 @@ def parse_events_rows(source, geometry):
             known = replicates[seen[rid]]
             if known[1] != team or known[2] != minutes:
                 raise ValueError(
-                    f"line {lineno}: replicate {rid!r} redeclared with "
-                    "different team or minutes"
+                    f"line {lineno}: replicate {_quote_cell(rid)} "
+                    "redeclared with different team or minutes"
                 )
         else:
             seen[rid] = len(replicates)

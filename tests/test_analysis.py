@@ -59,14 +59,14 @@ class TestBrayCurtis:
 
 
 def dissimilarity_through_tensor(table, scale):
-    """Team networks as per-replicate tensor slices summed per team."""
+    """Team networks as per-replicate tensor slices summed per team,
+    divided by the team's minutes."""
     tensor = build_tensor(table, scale)
     minutes = team_minutes(table)
-    reference = sum(minutes.values()) / len(minutes)
     nets = {team: np.zeros((4**scale, 4**scale)) for team in minutes}
     for n, rep in enumerate(table.replicates):
         nets[rep.team] += adjacency_at_scale(tensor, n, scale)
-    vecs = [nets[t].ravel() * (reference / minutes[t]) for t in minutes]
+    vecs = [nets[t].ravel() / minutes[t] for t in minutes]
     out = np.zeros((len(vecs), len(vecs)))
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
@@ -105,14 +105,24 @@ class TestDissimilarityMatrix:
         with pytest.raises(ValueError, match="scales must be >= 1"):
             dissimilarity_matrix(clustered_table(), 0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_reference_minutes(self, bad):
-        with pytest.raises(ValueError, match="positive and finite"):
-            dissimilarity_matrix(clustered_table(), 1, reference_minutes=bad)
+    @pytest.mark.parametrize("factor", [0.5, 3.0, 1e3])
+    def test_common_minutes_factor_cancels(self, factor):
+        # Bray-Curtis is blind to a factor shared by both networks, so
+        # scaling every replicate's minutes moves only rounding.
+        table = clustered_table()
+        scaled = EventTable(
+            tuple(Replicate(r.replicate_id, r.team, r.minutes * factor)
+                  for r in table.replicates),
+            table.replicate_index, table.coords,
+        )
+        for scale in (1, 2, 3):
+            base = dissimilarity_matrix(table, scale).values
+            moved = dissimilarity_matrix(scaled, scale).values
+            assert np.abs(moved - base).max() <= 1e-15
 
     def test_exposure_scaling_hand_value(self):
-        # Identical passing but half the minutes doubles the exposure-
-        # adjusted rates: BC(0.75 x, 1.5 x) = 1/3.
+        # Identical passing but half the minutes doubles the per-minute
+        # rates: BC(x / 90, x / 45) = 1/3.
         rows = [
             "m1,slow,90,10,10,80,60",
             "m1,slow,90,20,20,90,60",

@@ -5,7 +5,8 @@ import pytest
 
 from mrtensor import solver
 from mrtensor.analysis import rank_motifs
-from mrtensor.cli import main, parse_config
+from mrtensor.cli import _geometry, build_parser, main, parse_config
+from mrtensor.ingest import FieldGeometry
 from mrtensor.model import CpBtdModel, read_model, write_model
 from mrtensor.solver import read_report
 from mrtensor.sptensor import read_tensor
@@ -417,6 +418,23 @@ class TestDissim:
         lines = out.read_text().splitlines()
         assert lines[0] == "team,alpha,beta"
         assert len(lines) == 3
+
+    def test_reference_minutes_flag_is_gone(self, tmp_path, events_csv):
+        # Bray-Curtis cancels any common duration, so there is none to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["dissim", str(events_csv), "--scale", "1",
+                  "--reference-minutes", "90", "--out", str(tmp_path / "d")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command, scale", [("encode", "--scales"),
+                                            ("dissim", "--scale")])
+def test_default_geometry_flags_are_field_geometry(command, scale):
+    args = build_parser().parse_args(
+        [command, "events.csv", scale, "1", "--out", "x"]
+    )
+    assert _geometry(args) == FieldGeometry()
 
 
 class TestSimulate:

@@ -16,7 +16,6 @@ from mrtensor.ingest import (
     EventTable,
     FieldGeometry,
     Replicate,
-    _reference_minutes,
     parse_events,
     team_minutes,
 )
@@ -202,6 +201,27 @@ class TestValidation:
         )
         assert csv.field_size_limit() == limit
 
+    @pytest.mark.parametrize("rows, prefix", [
+        (["m1,a,90,10,10,50,40", "m1,a,90,10,10,50," + "y" * 200_000],
+         "line 3: malformed row (could not convert string to float: "),
+        (["y" * 200_000 + ",a,90,10,10,50,40",
+          "y" * 200_000 + ",b,90,10,10,50,40"],
+         "line 3: replicate "),
+    ], ids=["non-number", "redeclared id"])
+    def test_long_cell_is_cut_in_the_message(self, rows, prefix):
+        # A row error quotes at most 80 characters of a cell.
+        with pytest.raises(ValueError) as exc:
+            parse_events(make_csv(rows))
+        message = str(exc.value)
+        assert message.startswith(prefix + "'" + "y" * 80 + "'...")
+        assert len(message) < 200
+        # The row oracle agrees on a cell within csv's field limit.
+        rows = [row.replace("y" * 200_000, "y" * 1_000) for row in rows]
+        for parse in (parse_events, parse_events_rows):
+            with pytest.raises(ValueError) as exc:
+                parse(make_csv(rows), FieldGeometry())
+            assert str(exc.value) == message
+
     def test_conflicting_replicate_metadata(self):
         src = make_csv(["m1,a,90,10,10,50,40", "m1,b,90,10,10,50,40"])
         with pytest.raises(ValueError, match="redeclared"):
@@ -246,40 +266,6 @@ class TestExposure:
             )
         )
         assert team_minutes(table) == {"alpha": 189.0, "beta": 90.0}
-
-    def test_explicit_reference(self):
-        table = parse_events(
-            make_csv(
-                [
-                    "m1,alpha,384.875,10,10,50,40",
-                    "m2,beta,769.75,10,10,50,40",
-                ]
-            )
-        )
-        reference = _reference_minutes(team_minutes(table), 384.875)
-        factors = [reference / rep.minutes for rep in table.replicates]
-        assert factors == pytest.approx([1.0, 0.5])
-
-    def test_default_reference_is_mean_team_total(self):
-        table = parse_events(
-            make_csv(
-                [
-                    "m1,alpha,100,10,10,50,40",
-                    "m2,alpha,100,10,10,50,40",
-                    "m3,beta,100,10,10,50,40",
-                ]
-            )
-        )
-        # Team totals are 200 and 100, so the reference is 150.
-        reference = _reference_minutes(team_minutes(table), None)
-        assert reference / table.replicates[0].minutes == pytest.approx(1.5)
-        assert reference / table.replicates[2].minutes == pytest.approx(1.5)
-
-    def test_bad_reference(self):
-        table = parse_events(make_csv(["m1,a,90,10,10,50,40"]))
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="positive and finite"):
-                _reference_minutes(team_minutes(table), bad)
 
 
 # Cell texts the generator mixes: ids with commas, quotes, embedded

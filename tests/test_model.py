@@ -22,7 +22,7 @@ from mrtensor.model import (
 )
 from mrtensor.sptensor import SparseCountTensor, dense_reconstruct
 
-from oracles import intensity_at
+from oracles import intensity_at, motif_by_kron
 
 
 def random_model(rng, sizes, ranks, n_rep):
@@ -115,6 +115,18 @@ class TestMotifs:
         motif = motif_at_scale(m, 0, 1)
         want = m.omega[0] * np.outer(m.factors[0][:, 0], m.factors[1][:, 0])
         np.testing.assert_allclose(motif, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_matches_kronecker_loop(self, scale):
+        rng = np.random.default_rng(37 + scale)
+        for _ in range(5):
+            ranks = tuple(rng.integers(1, 5, size=3))
+            m = random_model(rng, (4,) * (2 * scale), ranks, n_rep=1)
+            for h in range(m.n_terms):
+                got = motif_at_scale(m, h, scale)
+                want = motif_by_kron(m, h, scale)
+                # Within 4 units in the last place of each entry.
+                assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
 
     def test_motif_mass_is_one_for_stochastic_terms(self):
         rng = np.random.default_rng(32)

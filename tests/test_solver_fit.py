@@ -55,10 +55,23 @@ class TestSolverConfig:
         dict(beta=float("nan")),
         dict(beta=float("inf")),
         dict(outer_tol=float("nan")),
+        dict(n_terms=2.5),
+        dict(rank=1.5),
+        dict(n_terms=2, rank=(1, 2.5)),
+        dict(max_outer=2.5),
+        dict(max_inner=3.5),
+        dict(seed=1.5),
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
+
+    def test_numpy_integers_pass(self):
+        cfg = SolverConfig(n_terms=np.int64(2), rank=(np.int32(1), 2),
+                           max_outer=np.int64(3), max_inner=np.int16(4),
+                           seed=np.uint8(5))
+        assert cfg.resolved_ranks() == (1, 2)
+        assert SolverConfig(rank=np.int64(3)).resolved_ranks()[0] == 3
 
     def test_fixed_constants_are_not_fields(self):
         # The penalty offset and the inner tolerance are constants:

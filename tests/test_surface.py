@@ -1,6 +1,7 @@
-"""The public surface, pinned: a new public name or solver knob must be
-added here on purpose."""
+"""The public surface, pinned: a new public name, solver knob or CLI
+flag must be added here on purpose."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import mrtensor
 from mrtensor import SolverConfig
+from mrtensor.cli import build_parser
 
 PUBLIC_NAMES = [
     "CpBtdModel", "DissimilarityMatrix", "EventTable", "FieldGeometry",
@@ -32,6 +34,19 @@ SOLVER_KNOBS = [
 ]
 
 
+GEOMETRY_FLAGS = {"--length", "--width", "--attack-direction"}
+SOLVER_FLAGS = {"--config", "--terms", "-H", "--rank", "-R", "--beta",
+                "--max-outer", "--max-inner", "--outer-tol", "--seed"}
+CLI_FLAGS = {
+    "encode": {"--scales", "-S", "--out"} | GEOMETRY_FLAGS,
+    "fit": {"--backend", "--out", "--report"} | SOLVER_FLAGS,
+    "motifs": {"--top", "--scales", "--edges", "--out"},
+    "dissim": {"--scale", "--out"} | GEOMETRY_FLAGS,
+    "simulate": {"--seed", "--method", "--out"},
+    "scores": {"--out"},
+}
+
+
 def test_public_names():
     assert sorted(mrtensor.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
@@ -47,6 +62,17 @@ def test_public_names_documented():
 
 def test_solver_config_fields():
     assert [f.name for f in fields(SolverConfig)] == SOLVER_KNOBS
+
+
+def test_cli_flags():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {flag for action in sub._actions
+               for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert flags == CLI_FLAGS
 
 
 # Listed in bench/tracing.py but deleted from the package; the benchmark

@@ -1,10 +1,9 @@
 """Command line entry points.
 
 Thin orchestration over the library: each subcommand reads the text
-formats, calls one library pipeline, and writes artifacts.  A plain-text
-``key = value`` config file can carry every solver knob; explicit
-flags win over the file, the file wins over defaults, so a config file
-plus a seed reproduces a run byte for byte.
+formats, calls one library pipeline, and writes artifacts.  Every
+solver knob is a flag, so the command line plus a seed reproduces a
+run byte for byte.
 """
 
 from __future__ import annotations
@@ -18,47 +17,25 @@ import numpy as np
 
 from . import analysis, solver, sptensor
 from .encode import _grid_depth, build_tensor
-from .ingest import FieldGeometry, parse_events
+from .ingest import FieldGeometry, _float, _shown, parse_events
 from .model import (
     effective_rank, motif_at_scale, normalize_scores, read_model, write_model,
 )
-from .solver import SolverConfig, SolverError, fit_block_gs, fit_em
+from .solver import SolverConfig, SolverError, fit_block_gs
 
 
-# Each solver knob's type is the type of its default; the CLI flags
-# carry the field names as their ``dest``.
-_CONFIG_KEYS = {f.name: type(f.default) for f in fields(SolverConfig)}
-
-
-def parse_config(path) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment."""
-    values: dict = {}
-    with open(path, "r") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, text)
-    return values
-
-
-def _coerce(key, text):
-    if key == "rank" and "," in text:
-        return tuple(int(v) for v in text.split(","))
-    return _CONFIG_KEYS[key](text)
+def _int_list(text) -> tuple[int, ...]:
+    """A comma list of integers, such as ``3`` or ``3,3,2``."""
+    return tuple(int(v) for v in text.split(","))
 
 
 def load_run_config(args) -> SolverConfig:
-    values = parse_config(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
+    """The solver knobs given as flags; the rest keep their defaults.
+    One ``--rank`` value bounds every term."""
+    values = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+              if getattr(args, f.name) is not None}
+    if len(values.get("rank", ())) == 1:
+        (values["rank"],) = values["rank"]
     return SolverConfig(**values)
 
 
@@ -78,9 +55,8 @@ def cmd_encode(args) -> int:
 def cmd_fit(args) -> int:
     tensor = sptensor.read_tensor(args.tensor)
     config = load_run_config(args)
-    fit = {"gs": fit_block_gs, "em": fit_em}[args.backend]
     try:
-        fitted, report = fit(tensor, config)
+        fitted, report = fit_block_gs(tensor, config)
     except SolverError as exc:
         if args.report and exc.report is not None:
             solver.write_report(exc.report, args.report)
@@ -101,11 +77,9 @@ def cmd_motifs(args) -> int:
     if args.top < 0 or args.edges < 0:
         raise ValueError("--top and --edges must be >= 0")
     fitted = read_model(args.model)
-    scales = range(1, _grid_depth(fitted.mode_sizes) + 1)
-    if args.scales:
-        scales = [int(s) for s in args.scales.split(",")]
-        for s in scales:
-            _grid_depth(fitted.mode_sizes, s)
+    scales = args.scales or range(1, _grid_depth(fitted.mode_sizes) + 1)
+    for s in scales:
+        _grid_depth(fitted.mode_sizes, s)
     ranked = analysis.rank_motifs(fitted)
     if args.top > len(ranked):
         print(
@@ -139,17 +113,23 @@ def cmd_dissim(args) -> int:
 def _read_rates(path, n_terms):
     with open(path, "r") as handle:
         header = handle.readline().strip().split(",")
-        if not header or header[0] != "term":
+        if header[0] != "term":
             raise ValueError("rates CSV must start with a 'term' column")
-        n_rep = len(header) - 1
         rows = []
         for lineno, line in enumerate(handle, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != n_rep + 1:
-                raise ValueError(f"rates CSV line {lineno}: wrong arity")
-            rows.append([float(v) for v in parts[1:]])
+            where = f"rates CSV line {lineno}"
+            label, *cells = line.strip().split(",")
+            if len(cells) != len(header) - 1:
+                raise ValueError(f"{where}: wrong arity")
+            if label != str(lineno - 1):
+                raise ValueError(f"{where}: expected term {lineno - 1}, "
+                                 f"found {_shown(label)}")
+            try:
+                rows.append([_float(v) for v in cells])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     rates = np.asarray(rows)
-    if rates.shape != (n_terms, n_rep):
+    if rates.shape != (n_terms, len(header) - 1):
         raise ValueError(
             f"rates CSV must have one row per term ({n_terms}), "
             f"found {rates.shape[0]}"
@@ -160,9 +140,7 @@ def _read_rates(path, n_terms):
 def cmd_simulate(args) -> int:
     truth = read_model(args.model)
     rates = _read_rates(args.rates, truth.n_terms)
-    tensor = analysis.simulate(
-        truth, rates, seed=args.seed, method=args.method
-    )
+    tensor = analysis.simulate(truth, rates, seed=args.seed)
     sptensor.write_tensor(tensor, args.out)
     print(f"events={tensor.total} nnz={tensor.nnz}")
     return 0
@@ -196,9 +174,8 @@ def _add_geometry(parser):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--config", help="key = value solver config file")
     parser.add_argument("--terms", "-H", dest="n_terms", type=int)
-    parser.add_argument("--rank", "-R", type=int)
+    parser.add_argument("--rank", "-R", type=_int_list, help="comma list")
     parser.add_argument("--beta", type=float)
     parser.add_argument("--max-outer", type=int)
     parser.add_argument("--max-inner", type=int)
@@ -222,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the count model to a tensor")
     p.add_argument("tensor")
-    p.add_argument("--backend", choices=("gs", "em"), default="gs")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     _add_solver_flags(p)
@@ -231,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motifs", help="export ranked motif matrices")
     p.add_argument("model")
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--scales", help="comma list, default all")
+    p.add_argument("--scales", type=_int_list, help="comma list, default all")
     p.add_argument("--edges", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_motifs)
@@ -247,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("rates")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--method", choices=("superposition", "cells"), default="superposition"
-    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -37,6 +37,7 @@ scores so the intensity function is preserved exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -91,12 +92,18 @@ class SolverConfig:
             self.rank = tuple(int(r) for r in self.rank)
             if len(self.rank) != self.n_terms or any(r < 1 for r in self.rank):
                 raise ValueError("need one positive rank per term")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError("beta must be finite and >= 0")
+        for name in ("beta", "outer_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number")
+        if self.beta < 0:
+            raise ValueError("beta must be >= 0")
+        if self.outer_tol <= 0:
+            raise ValueError("outer_tol must be positive")
         if self.max_outer < 0 or self.max_inner < 1:
             raise ValueError("iteration caps out of range")
-        if not self.outer_tol > 0:
-            raise ValueError("outer_tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolved_ranks(self) -> tuple[int, ...]:
         if isinstance(self.rank, tuple):

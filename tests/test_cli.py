@@ -5,10 +5,10 @@ import pytest
 
 from mrtensor import solver
 from mrtensor.analysis import rank_motifs
-from mrtensor.cli import _geometry, build_parser, main, parse_config
+from mrtensor.cli import _geometry, build_parser, main
 from mrtensor.ingest import FieldGeometry
 from mrtensor.model import CpBtdModel, read_model, write_model
-from mrtensor.solver import read_report
+from mrtensor.solver import SolverConfig, fit_block_gs, read_report
 from mrtensor.sptensor import read_tensor
 
 EVENTS = """replicate_id,team,minutes,x_o,y_o,x_d,y_d
@@ -145,30 +145,6 @@ class TestFit:
         trace = read_report(report)
         assert len(trace.objective) >= 1
 
-    def test_em_backend(self, tmp_path, events_csv):
-        tensor = tmp_path / "t.txt"
-        main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
-        model = tmp_path / "m.txt"
-        code = main([
-            "fit", str(tensor), "--backend", "em", "--terms", "2",
-            "--rank", "1", "--beta", "0", "--max-outer", "10",
-            "--out", str(model),
-        ])
-        assert code == 0
-
-    def test_em_with_shrinkage_fails_cleanly(
-        self, tmp_path, events_csv, capsys
-    ):
-        tensor = tmp_path / "t.txt"
-        main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
-        code = main([
-            "fit", str(tensor), "--backend", "em", "--terms", "2",
-            "--rank", "1", "--beta", "0.01",
-            "--out", str(tmp_path / "m.txt"),
-        ])
-        assert code == 2
-        assert "beta" in capsys.readouterr().err
-
     def test_entry_line_with_extra_field_exits_two(
         self, tmp_path, events_csv, capsys
     ):
@@ -209,24 +185,17 @@ class TestFit:
         assert not model.exists()
         assert len(read_report(report).objective) == 1
 
-    def test_config_file_with_flag_override(self, tmp_path, events_csv):
+    def test_per_term_ranks_match_the_library_fit(self, tmp_path, events_csv):
         tensor = tmp_path / "t.txt"
         main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            "n_terms = 3\n"
-            "rank = 1\n"
-            "beta = 0  # plain likelihood\n"
-            "\n"
-            "max_outer = 5\n"
-        )
         model = tmp_path / "m.txt"
-        code = main([
-            "fit", str(tensor), "--config", str(config),
-            "--terms", "2", "--out", str(model),
-        ])
-        assert code == 0
-        assert read_model(model).n_terms == 2
+        assert main(["fit", str(tensor), "-H", "2", "-R", "2,1",
+                     "--max-outer", "5", "--out", str(model)]) == 0
+        assert read_model(model).ranks == (2, 1)
+        config = SolverConfig(n_terms=2, rank=(2, 1), max_outer=5)
+        write_model(fit_block_gs(read_tensor(tensor), config)[0],
+                    tmp_path / "library.txt")
+        assert model.read_text() == (tmp_path / "library.txt").read_text()
 
     def test_out_of_range_knob_exits_two(self, tmp_path, events_csv, capsys):
         tensor = tmp_path / "t.txt"
@@ -240,6 +209,7 @@ class TestFit:
 
     @pytest.mark.parametrize("flag, value", [
         ("--beta", "nan"), ("--beta", "inf"), ("--outer-tol", "nan"),
+        ("--outer-tol", "inf"),
     ])
     def test_non_finite_knob_exits_two(
         self, tmp_path, events_csv, flag, value, capsys
@@ -252,50 +222,12 @@ class TestFit:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
-    def test_non_finite_beta_in_config_exits_two(
-        self, tmp_path, events_csv, capsys
-    ):
-        tensor = tmp_path / "t.txt"
-        main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
-        config = tmp_path / "run.cfg"
-        config.write_text("beta = nan\n")
-        code = main(["fit", str(tensor), "--config", str(config),
-                     "--out", str(tmp_path / "m.txt")])
-        assert code == 2
-        assert "beta must be finite" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag", ["--epsilon", "--inner-tol"])
     def test_fixed_constants_have_no_flag(self, tmp_path, flag):
         with pytest.raises(SystemExit) as info:
             main(["fit", str(tmp_path / "t.txt"), flag, "1e-3",
                   "--out", str(tmp_path / "m.txt")])
         assert info.value.code == 2
-
-
-class TestConfigParser:
-    def test_parses_types(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "n_terms = 4\nrank = 2,1,1,3\nbeta = 1e-2\nseed = 3\n"
-        )
-        values = parse_config(path)
-        assert values["n_terms"] == 4
-        assert values["rank"] == (2, 1, 1, 3)
-        assert values["beta"] == 0.01
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        for text in ("terms = 4\n", "global_observations = 1000\n",
-                     "epsilon = 1e-3\n", "inner_tol = 1e-3\n"):
-            path.write_text(text)
-            with pytest.raises(ValueError, match="unknown key"):
-                parse_config(path)
-
-    def test_missing_equals_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("n_terms 4\n")
-        with pytest.raises(ValueError, match="expected key = value"):
-            parse_config(path)
 
 
 def top_motif(model_path) -> int:
@@ -437,6 +369,22 @@ def test_default_geometry_flags_are_field_geometry(command, scale):
     assert _geometry(args) == FieldGeometry()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "t.txt", "-R", "2,x"],
+    ["motifs", "m.txt", "--scales", "1,x"],
+    ["fit", "t.txt", "--config", "run.cfg"],
+    ["fit", "t.txt", "--backend", "em"],
+    ["simulate", "m.txt", "rates.csv", "--method", "cells"],
+], ids=["rank list", "scales list", "config", "backend", "method"])
+def test_parser_rejects_and_writes_nothing(tmp_path, argv):
+    # fit always runs fit_block_gs and simulate always superposes draws;
+    # fit_em and method="cells" stay library cross-checks.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulate:
     def test_round_trip(self, tmp_path, fitted_model):
         rates = tmp_path / "rates.csv"
@@ -450,16 +398,6 @@ class TestSimulate:
         t = read_tensor(out)
         assert t.shape[-1] == 2
         assert t.total > 0
-
-    def test_cells_method(self, tmp_path, fitted_model):
-        rates = tmp_path / "rates.csv"
-        rates.write_text("term,m1,m2\n1,40,20\n2,10,30\n")
-        out = tmp_path / "sim.txt"
-        code = main([
-            "simulate", str(fitted_model), str(rates),
-            "--method", "cells", "--out", str(out),
-        ])
-        assert code == 0
 
     def test_bad_header_rejected(self, tmp_path, fitted_model, capsys):
         rates = tmp_path / "rates.csv"
@@ -479,3 +417,21 @@ class TestSimulate:
             "--out", str(tmp_path / "sim.txt"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("rows, message", [
+        ("2,10,30\n1,40,20", "line 2: expected term 1, found '2'"),
+        ("foo,40,20\nbar,10,30", "line 2: expected term 1, found 'foo'"),
+        ("1,40,20\n2,x,30",
+         "line 3: could not convert string to float: 'x'"),
+    ], ids=["out of order", "not numbers", "bad rate"])
+    def test_bad_row_names_its_line(
+        self, tmp_path, fitted_model, rows, message, capsys
+    ):
+        rates = tmp_path / "rates.csv"
+        rates.write_text(f"term,m1,m2\n{rows}\n")
+        out = tmp_path / "sim.txt"
+        code = main(["simulate", str(fitted_model), str(rates),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: rates CSV {message}\n"
+        assert not out.exists()

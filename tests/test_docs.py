@@ -1,5 +1,6 @@
 """The README's quickstart, its CLI block and the demos run as written."""
 
+import argparse
 import os
 import re
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrtensor.cli import main
+from mrtensor.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -54,6 +55,24 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
         assert main(argv) == 0, line
         out = Path(argv[argv.index("--out") + 1])
         assert out.is_file() or any(out.iterdir()), line
+
+
+def test_readme_names_only_real_flags():
+    # Inline code of the CLI section and every mrtensor line; other
+    # sections name other programs' flags, such as pytest's -s.
+    text = (ROOT / "README.md").read_text()
+    (section,) = re.findall(r"^## CLI\n(.*?)^## ", text,
+                            flags=re.DOTALL | re.MULTILINE)
+    prose = re.sub(r"```.*?```", "", section, flags=re.DOTALL)
+    named = re.findall(r"`([^`\n]+)`", prose) + re.findall(
+        r"^mrtensor .*$", text, flags=re.MULTILINE)
+    options = {flag for span in named
+               for flag in re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", span)}
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for sub in commands.choices.values()
+             for action in sub._actions for flag in action.option_strings}
+    assert options and options <= flags, options - flags
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -61,6 +61,11 @@ class TestSolverConfig:
         dict(max_outer=2.5),
         dict(max_inner=3.5),
         dict(seed=1.5),
+        dict(beta=None),
+        dict(beta="1e-3"),
+        dict(outer_tol="x"),
+        dict(outer_tol=float("inf")),
+        dict(seed=-1),
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):

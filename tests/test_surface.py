@@ -35,14 +35,14 @@ SOLVER_KNOBS = [
 
 
 GEOMETRY_FLAGS = {"--length", "--width", "--attack-direction"}
-SOLVER_FLAGS = {"--config", "--terms", "-H", "--rank", "-R", "--beta",
+SOLVER_FLAGS = {"--terms", "-H", "--rank", "-R", "--beta",
                 "--max-outer", "--max-inner", "--outer-tol", "--seed"}
 CLI_FLAGS = {
     "encode": {"--scales", "-S", "--out"} | GEOMETRY_FLAGS,
-    "fit": {"--backend", "--out", "--report"} | SOLVER_FLAGS,
+    "fit": {"--out", "--report"} | SOLVER_FLAGS,
     "motifs": {"--top", "--scales", "--edges", "--out"},
     "dissim": {"--scale", "--out"} | GEOMETRY_FLAGS,
-    "simulate": {"--seed", "--method", "--out"},
+    "simulate": {"--seed", "--out"},
     "scores": {"--out"},
 }
 

@@ -39,7 +39,6 @@ from .ingest import (
 )
 from .model import (
     CpBtdModel,
-    ScoreSummary,
     effective_rank,
     effective_terms,
     motif_at_scale,
@@ -76,7 +75,6 @@ __all__ = [
     "FitReport",
     "MultiIndex",
     "Replicate",
-    "ScoreSummary",
     "SolverConfig",
     "SolverError",
     "SparseCountTensor",

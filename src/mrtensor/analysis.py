@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import _quadrant_columns, chain_index, node_tile
+from .encode import _dense_side, _quadrant_columns, chain_index, node_tile
 from .ingest import EventTable, team_minutes
 from .model import CpBtdModel, RANK_THRESHOLD
 from .sptensor import SparseCountTensor, dense_reconstruct
@@ -71,8 +71,8 @@ def dissimilarity_matrix(table: EventTable, scale: int) -> DissimilarityMatrix:
     if not teams:
         raise ValueError("table has no teams")
     quadrants = _quadrant_columns(table.coords, scale)
+    size = _dense_side(scale, len(teams))
     team_of_rep = np.array([teams.index(rep.team) for rep in table.replicates])
-    size = 4**scale
     key = (
         team_of_rep[table.replicate_index] * size
         + chain_index(quadrants[:, 0::2])

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, solver, sptensor
-from .encode import _grid_depth, build_tensor
+from .encode import _dense_side, _grid_depth, build_tensor
 from .ingest import FieldGeometry, _float, _shown, parse_events
 from .model import (
     effective_rank, motif_at_scale, normalize_scores, read_model, write_model,
@@ -26,7 +26,11 @@ from .solver import SolverConfig, SolverError, fit_block_gs
 
 def _int_list(text) -> tuple[int, ...]:
     """A comma list of integers, such as ``3`` or ``3,3,2``."""
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
 
 
 def load_run_config(args) -> SolverConfig:
@@ -80,6 +84,7 @@ def cmd_motifs(args) -> int:
     scales = args.scales or range(1, _grid_depth(fitted.mode_sizes) + 1)
     for s in scales:
         _grid_depth(fitted.mode_sizes, s)
+        _dense_side(s)
     ranked = analysis.rank_motifs(fitted)
     if args.top > len(ranked):
         print(
@@ -148,16 +153,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_scores(args) -> int:
     fitted = read_model(args.model)
-    summary = normalize_scores(fitted)
+    theta, eta = normalize_scores(fitted)
     with open(args.out, "w") as handle:
         labels = [f"n{k + 1}" for k in range(fitted.n_replicates)]
         handle.write("term," + ",".join(labels) + "\n")
         for h in range(fitted.n_terms):
-            row = ",".join(format(v, ".17g") for v in summary.theta[h])
+            row = ",".join(format(v, ".17g") for v in theta[h])
             handle.write(f"{h + 1},{row}\n")
-        handle.write(
-            "eta," + ",".join(format(v, ".17g") for v in summary.eta) + "\n"
-        )
+        handle.write("eta," + ",".join(format(v, ".17g") for v in eta) + "\n")
     print(f"terms={fitted.n_terms} replicates={fitted.n_replicates}")
     return 0
 

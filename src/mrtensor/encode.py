@@ -24,6 +24,10 @@ import numpy as np
 from .ingest import EventTable
 from .sptensor import SparseCountTensor
 
+# Most cells a dense node x node output may hold: twenty teams' scale-5
+# networks (20 x 4**10 cells) fit, one scale-7 matrix (4**14) does not.
+NODE_CELL_CAP = 2**25
+
 
 def _grid_depth(sizes, scale: int | None = None) -> int:
     """Depth S of quadrant modes ``sizes`` laid out as above; a given
@@ -34,6 +38,16 @@ def _grid_depth(sizes, scale: int | None = None) -> int:
     if scale is not None and not 1 <= scale <= depth:
         raise ValueError(f"scale {scale} out of range [1, {depth}]")
     return depth
+
+
+def _dense_side(scale: int, copies: int = 1) -> int:
+    """Node count 4**scale of ``copies`` dense node x node matrices at a
+    range-checked scale; raises past NODE_CELL_CAP cells."""
+    cells = copies * 16**scale
+    if cells > NODE_CELL_CAP:
+        raise ValueError(f"scale {scale} needs {cells} dense node x node "
+                         f"cells, over the cap {NODE_CELL_CAP}")
+    return 4**scale
 
 
 def binary_code(i: int, scales: int) -> tuple[int, ...]:
@@ -197,11 +211,11 @@ def adjacency_at_scale(
     _grid_depth(tensor.shape[:-1], scales)
     if not 0 <= replicate < tensor.shape[-1]:
         raise ValueError("replicate out of range")
+    size = _dense_side(scales)
     rows = tensor.indices[:, -1] == replicate
     idx = tensor.indices[rows]
     vo = chain_index(idx[:, 0 : 2 * scales : 2])
     vd = chain_index(idx[:, 1 : 2 * scales : 2])
-    size = 4**scales
     out = np.zeros((size, size), dtype=np.int64)
     np.add.at(out, (vo, vd), tensor.counts[rows])
     return out

@@ -45,8 +45,8 @@ class FieldGeometry:
     attack_direction: str = "left_to_right"
 
     def __post_init__(self):
-        if not (self.length > 0 and self.width > 0):
-            raise ValueError("field dimensions must be positive")
+        if not (0 < self.length < math.inf and 0 < self.width < math.inf):
+            raise ValueError("field dimensions must be positive and finite")
         if self.attack_direction not in ("left_to_right", "right_to_left"):
             raise ValueError(
                 f"unknown attack_direction {self.attack_direction!r}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encode import _grid_depth
+from .encode import _dense_side, _grid_depth
 from .sptensor import SparseCountTensor, factor_rows
 
 MODEL_HEADER = "cpbtd v1"
@@ -113,18 +113,8 @@ class CpBtdModel:
         return out
 
     def term_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-term sums of a flat per-component array.
-
-        Bit-identical to ``values[block(h)].sum()``: the terms of each
-        rank are the rows of one matrix, reduced row by row.
-        """
-        out = np.empty(self.n_terms)
-        ranks = np.asarray(self.ranks)
-        for r in np.unique(ranks):
-            terms = np.flatnonzero(ranks == r)
-            cols = self._offsets[terms][:, None] + np.arange(r)
-            out[terms] = values[cols].sum(axis=1)
-        return out
+        """Per-term sums of a flat per-component array."""
+        return np.array([values[self.block(h)].sum() for h in range(self.n_terms)])
 
     def term_usage(self) -> np.ndarray:
         """Total usage (expected events) per term: row sums of upsilon."""
@@ -153,6 +143,7 @@ def motif_at_scale(model: CpBtdModel, term: int, scale: int) -> np.ndarray:
     the scale - 1 matrix.
     """
     _grid_depth(model.mode_sizes, scale)
+    _dense_side(scale)
     blk = model.block(term)
     nodes = np.indices((4,) * scale).reshape(scale, -1).T
     profiles = [phi[:, blk] for phi in model.factors[: 2 * scale]]
@@ -161,26 +152,19 @@ def motif_at_scale(model: CpBtdModel, term: int, scale: int) -> np.ndarray:
     return (origin * model.omega[blk]) @ dest.T
 
 
-@dataclass(frozen=True)
-class ScoreSummary:
-    """Share-normalized scores: theta columns sum to one, eta scales back."""
-
-    theta: np.ndarray
-    eta: np.ndarray
-
-
-def normalize_scores(model: CpBtdModel) -> ScoreSummary:
+def normalize_scores(model: CpBtdModel) -> tuple[np.ndarray, np.ndarray]:
     """Split the scores into per-replicate shares and totals.
 
-    theta[:, n] = upsilon[:, n] / eta[n] with eta the column sums, so
-    theta * diag(eta) reproduces upsilon.  A replicate with all-zero
-    scores has no shares and is an error.
+    Returns ``(theta, eta)``: theta[:, n] = upsilon[:, n] / eta[n] with
+    eta the column sums, so theta columns sum to one and theta *
+    diag(eta) reproduces upsilon.  A replicate with all-zero scores has
+    no shares and is an error.
     """
     eta = model.upsilon.sum(axis=0)
     if (eta <= 0).any():
         bad = int(np.flatnonzero(eta <= 0)[0])
         raise ValueError(f"replicate {bad} has zero total score")
-    return ScoreSummary(model.upsilon / eta, eta)
+    return model.upsilon / eta, eta
 
 
 def effective_rank(model: CpBtdModel, term: int) -> int:

@@ -232,24 +232,25 @@ def mm_poisson_regression_group(
             "design must be (J, K): one row per count and segment id, "
             "one column per coefficient"
         )
-    if design.size:
-        # NaN fails every comparison, so these reductions reject it too.
-        # Past the sign check a row sums to 0 only if it is all zero, and
-        # sums are finite unless an entry is infinite or a sum overflows.
-        row_sums = design @ np.ones(design.shape[1])
-        if not (design.min() >= 0 and (
-            row_sums.max() < np.inf or design.max() < np.inf
-        )):
-            raise ValueError("designs must be finite and nonnegative")
-        if not (x.min() > 0 and x.max() < np.inf):
-            raise ValueError("counts must be positive and finite")
-        dead_rows = row_sums <= 0
-        if dead_rows.any():
-            j = int(np.flatnonzero(dead_rows)[0])
-            raise ValueError(
-                f"infeasible row: observation {j} has a positive count "
-                "but an all-zero design row"
-            )
+    if not beta >= 0:
+        raise ValueError("beta must be >= 0")
+    # NaN fails every comparison, so these reductions reject it too.
+    # Past the sign check a row sums to 0 only if it is all zero, and
+    # sums are finite unless an entry is infinite or a sum overflows.
+    row_sums = design @ np.ones(design.shape[1])
+    if not (design.min(initial=0) >= 0 and (
+        row_sums.max(initial=0) < np.inf or design.max(initial=0) < np.inf
+    )):
+        raise ValueError("designs must be finite and nonnegative")
+    if not (x.min(initial=1) > 0 and x.max(initial=0) < np.inf):
+        raise ValueError("counts must be positive and finite")
+    dead_rows = row_sums <= 0
+    if dead_rows.any():
+        j = int(np.flatnonzero(dead_rows)[0])
+        raise ValueError(
+            f"infeasible row: observation {j} has a positive count "
+            "but an all-zero design row"
+        )
     if len(segment) and (
         segment.dtype.kind not in "iu"
         or segment[0] < 0 or segment[-1] >= B.shape[1]
@@ -273,27 +274,25 @@ def mm_poisson_regression_group(
     spans = [
         (design[s:e], bt[c], lam[s:e], ratio[s:e], numer[c])
         for c, s, e in zip(segment[first].tolist(), first.tolist(), ends)
-    ] if design.size else []
+    ]
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         for rows, b, lam_c, _, _ in spans:
             np.matmul(rows, b, out=lam_c)
-        if spans:
-            if lam.min() <= 0:
-                raise ValueError(
-                    "zero intensity at a positive count; the iterate "
-                    "cannot support the data"
-                )
-            np.divide(x, lam, out=ratio)
+        if (lam <= 0).any():
+            raise ValueError(
+                "zero intensity at a positive count; the iterate "
+                "cannot support the data"
+            )
+        np.divide(x, lam, out=ratio)
         for rows, _, _, ratio_c, numer_c in spans:
             np.matmul(ratio_c, rows, out=numer_c)
         np.multiply(bt, numer, out=new)
-        if beta > 0:
-            new *= 1.0 / (1.0 + beta / (SolverConfig.epsilon + bt.sum(0)))
+        new *= 1.0 / (1.0 + beta / (SolverConfig.epsilon + bt.sum(0)))
         np.abs(np.subtract(new, bt, out=delta), out=delta)
         delta /= np.maximum(bt, 1e-30, out=floor)
         bt[...] = new
-        if not delta.size or delta.max() < tol:
+        if delta.max(initial=0) < tol:
             break
     return np.ascontiguousarray(bt.T), sweeps
 

@@ -45,27 +45,26 @@ class SparseCountTensor:
 
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
-        if any(d <= 0 for d in self.shape):
-            raise ValueError("all mode sizes must be positive")
+        if not self.shape or min(self.shape) <= 0:
+            raise ValueError("need one or more modes, all of positive size")
         self.indices = np.asarray(self.indices, dtype=np.int64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.indices.ndim != 2 or self.indices.shape[1] != len(self.shape):
             raise ValueError("indices must be (nnz, ndim)")
         if self.counts.shape != (self.indices.shape[0],):
             raise ValueError("counts must align with indices")
-        if self.counts.size:
-            if self.counts.min() <= 0:
-                raise ValueError("stored counts must be positive")
-            upper = np.asarray(self.shape, dtype=np.int64)
-            if self.indices.min() < 0 or (self.indices >= upper).any():
-                raise ValueError("index out of range for shape")
-            # Consecutive rows compare at their first differing column.
-            step = np.diff(self.indices, axis=0)
-            lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-            if (lead < 0).any():
-                raise ValueError("entries must be sorted lexicographically")
-            if (lead == 0).any():
-                raise ValueError("duplicate entries")
+        if self.counts.min(initial=1) <= 0:
+            raise ValueError("stored counts must be positive")
+        upper = np.asarray(self.shape, dtype=np.int64)
+        if self.indices.min(initial=0) < 0 or (self.indices >= upper).any():
+            raise ValueError("index out of range for shape")
+        # Consecutive rows compare at their first differing column.
+        step = np.diff(self.indices, axis=0)
+        lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+        if (lead < 0).any():
+            raise ValueError("entries must be sorted lexicographically")
+        if (lead == 0).any():
+            raise ValueError("duplicate entries")
 
     @classmethod
     def from_entries(cls, shape, indices, counts) -> "SparseCountTensor":
@@ -141,8 +140,7 @@ class SparseCountTensor:
                 f"{self.n_cells} cells exceed the dense cap {DENSE_CELL_CAP}"
             )
         out = np.zeros(self.shape, dtype=np.int64)
-        if self.nnz:
-            out[tuple(self.indices.T)] = self.counts
+        out[tuple(self.indices.T)] = self.counts
         return out
 
 

@@ -62,6 +62,15 @@ class TestEncode:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--length", "--width"])
+    def test_infinite_field_exits_two(self, tmp_path, events_csv, flag, capsys):
+        out = tmp_path / "t.txt"
+        code = main(["encode", str(events_csv), "-S", "2", flag, "inf",
+                     "--out", str(out)])
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deep_grid_reports_exact_cell_count(
         self, tmp_path, events_csv, capsys
     ):
@@ -315,6 +324,22 @@ class TestMotifs:
         assert "must be >= 0" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_scale_past_the_node_cap_exits_two_first(self, tmp_path, capsys):
+        # A depth-7 model: its scale-7 motif would hold 4**14 cells.
+        model = CpBtdModel(
+            (1,), [np.full((4, 1), 0.25)] * 14, np.ones(1), np.ones((1, 1))
+        )
+        write_model(model, tmp_path / "m.txt")
+        outdir = tmp_path / "motifs"
+        code = main(["motifs", str(tmp_path / "m.txt"), "--out", str(outdir)])
+        assert code == 2
+        assert "scale 7 needs" in capsys.readouterr().err
+        assert not outdir.exists()
+        code = main(["motifs", str(tmp_path / "m.txt"), "--scales", "1,2",
+                     "--out", str(outdir)])
+        assert code == 0
+        assert (outdir / "motif_1_scale_2.csv").exists()
+
     def test_top_zero_writes_nothing(self, tmp_path, fitted_model):
         outdir = tmp_path / "motifs"
         code = main([
@@ -351,6 +376,19 @@ class TestDissim:
         assert lines[0] == "team,alpha,beta"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("scale", ["8", "40"])
+    def test_scale_past_the_node_cap_exits_two(
+        self, tmp_path, events_csv, scale, capsys
+    ):
+        # Two teams at scale 8 would need 2 x 4**16 cells (64 GiB).
+        out = tmp_path / "d.csv"
+        code = main([
+            "dissim", str(events_csv), "--scale", scale, "--out", str(out),
+        ])
+        assert code == 2
+        assert f"scale {scale} needs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reference_minutes_flag_is_gone(self, tmp_path, events_csv):
         # Bray-Curtis cancels any common duration, so there is none to set.
         with pytest.raises(SystemExit) as exc:
@@ -369,19 +407,23 @@ def test_default_geometry_flags_are_field_geometry(command, scale):
     assert _geometry(args) == FieldGeometry()
 
 
-@pytest.mark.parametrize("argv", [
-    ["fit", "t.txt", "-R", "2,x"],
-    ["motifs", "m.txt", "--scales", "1,x"],
-    ["fit", "t.txt", "--config", "run.cfg"],
-    ["fit", "t.txt", "--backend", "em"],
-    ["simulate", "m.txt", "rates.csv", "--method", "cells"],
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "t.txt", "-R", "2,x"],
+     "expected a comma list of integers, got '2,x'"),
+    (["motifs", "m.txt", "--scales", "1,x"],
+     "expected a comma list of integers, got '1,x'"),
+    (["fit", "t.txt", "--config", "run.cfg"], "unrecognized arguments"),
+    (["fit", "t.txt", "--backend", "em"], "unrecognized arguments"),
+    (["simulate", "m.txt", "rates.csv", "--method", "cells"],
+     "unrecognized arguments"),
 ], ids=["rank list", "scales list", "config", "backend", "method"])
-def test_parser_rejects_and_writes_nothing(tmp_path, argv):
+def test_parser_rejects_and_writes_nothing(tmp_path, argv, message, capsys):
     # fit always runs fit_block_gs and simulate always superposes draws;
     # fit_em and method="cells" stay library cross-checks.
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

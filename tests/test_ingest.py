@@ -250,6 +250,10 @@ class TestValidation:
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
             FieldGeometry(length=0.0)
+        for bad in ({"length": np.inf}, {"width": np.inf},
+                    {"length": np.nan}):
+            with pytest.raises(ValueError, match="positive and finite"):
+                FieldGeometry(**bad)
         with pytest.raises(ValueError):
             FieldGeometry(attack_direction="sideways")
 

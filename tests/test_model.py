@@ -173,12 +173,10 @@ class TestMotifs:
 class TestScores:
     def test_normalize_scores_shares_and_totals(self):
         m = tiny_model()
-        summary = normalize_scores(m)
-        np.testing.assert_allclose(summary.eta, [15.0])
-        np.testing.assert_allclose(summary.theta, [[2 / 3], [1 / 3]])
-        np.testing.assert_allclose(
-            summary.theta * summary.eta, m.upsilon
-        )
+        theta, eta = normalize_scores(m)
+        np.testing.assert_allclose(eta, [15.0])
+        np.testing.assert_allclose(theta, [[2 / 3], [1 / 3]])
+        np.testing.assert_allclose(theta * eta, m.upsilon)
 
     def test_zero_replicate_rejected(self):
         m = tiny_model()

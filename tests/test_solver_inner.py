@@ -105,6 +105,16 @@ class TestSweepMechanics:
         assert B[0, 0] == pytest.approx(4.0, rel=1e-12)
         assert B[0, 1] == 0.0
 
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_no_rows_decay_in_two_sweeps(self, beta):
+        # The first sweep zeroes every coefficient, the second moves none.
+        B, sweeps = mm_poisson_regression_group(
+            np.empty((0, 3)), [], np.empty(0, dtype=int),
+            np.arange(1.0, 7.0).reshape(3, 2), beta=beta,
+        )
+        np.testing.assert_array_equal(B, np.zeros((3, 2)))
+        assert sweeps == 2
+
     def test_unpenalized_group_matches_per_column_solves(self):
         # With beta = 0 the columns are independent regressions, so the
         # grouped solve must reproduce one plain solve per column; a
@@ -229,6 +239,20 @@ class TestValidation:
         design = np.array([[0.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match="infeasible"):
             single_regression(design, np.array([1.0, 1.0]), np.ones(2))
+
+    def test_zero_column_design_is_infeasible(self):
+        # Positive counts with no coefficients to carry them.
+        with pytest.raises(ValueError, match="infeasible row"):
+            mm_poisson_regression_group(
+                np.ones((3, 0)), [1, 2, 3], [0, 0, 0], np.ones((0, 1))
+            )
+
+    @pytest.mark.parametrize("beta", [-1.0, np.nan])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            single_regression(
+                np.ones((1, 1)), np.array([1.0]), np.ones(1), beta=beta
+            )
 
     def test_nonpositive_counts_rejected(self):
         design = np.ones((2, 1))

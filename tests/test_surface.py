@@ -15,7 +15,7 @@ from mrtensor.cli import build_parser
 PUBLIC_NAMES = [
     "CpBtdModel", "DissimilarityMatrix", "EventTable", "FieldGeometry",
     "FitReport", "MultiIndex", "Replicate",
-    "ScoreSummary", "SolverConfig", "SolverError", "SparseCountTensor",
+    "SolverConfig", "SolverError", "SparseCountTensor",
     "adjacency_at_scale", "binary_code", "bray_curtis", "build_tensor",
     "chain_index", "decode_binary_code",
     "dense_reconstruct", "dissimilarity_matrix", "effective_rank",

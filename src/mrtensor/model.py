@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encode import _dense_side, _grid_depth
-from .sptensor import SparseCountTensor, factor_rows
+from .sptensor import SparseCountTensor, _row_blocks, factor_rows
 
 MODEL_HEADER = "cpbtd v1"
 
@@ -184,6 +184,10 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     (computed from factor column sums, so it does not rely on the
     stochasticity constraints).  A zero intensity at a stored positive
     count makes the objective +inf.
+
+    Memory: the intensities are one nnz vector filled a row block at a
+    time, so the scratch is two gathered blocks of at most
+    ``_BLOCK_ELEMENTS`` entries each, never an nnz x H array.
     """
     if tensor.ndim != model.n_modes + 1:
         raise ValueError("tensor order does not match the model")
@@ -199,8 +203,11 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     # cell row with its replicate's scores.
     cells, inverse = tensor.cell_groups()
     mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
-    scores = model.upsilon.T[tensor.indices[:, -1]]
-    lam = np.einsum("jh,jh->j", mixed[inverse], scores)
+    scores = model.upsilon.T
+    reps = tensor.indices[:, -1]
+    lam = np.empty(tensor.nnz)
+    for s in _row_blocks(tensor.nnz, model.n_terms):
+        np.einsum("jh,jh->j", mixed[inverse[s]], scores[reps[s]], out=lam[s])
     if (lam <= 0).any():
         return math.inf
     return linear - float(tensor.counts @ np.log(lam))
@@ -208,8 +215,10 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
 
 def write_model(model: CpBtdModel, path) -> None:
     """Write the ``cpbtd v1`` text form (column-major sections)."""
-    def fmt(arr):
-        return " ".join(format(v, ".17g") for v in arr)
+    def lines(widths, values):
+        # One line of numbers per width, in one formatting pass.
+        fmt = "".join(" ".join(["%.17g"] * w) + "\n" for w in widths)
+        return fmt % tuple(values.tolist())
 
     with open(path, "w") as handle:
         handle.write(f"{MODEL_HEADER}\n")
@@ -221,14 +230,12 @@ def write_model(model: CpBtdModel, path) -> None:
         )
         for p, phi in enumerate(model.factors, start=1):
             handle.write(f"phi {p}\n")
-            for r in range(model.total_rank):
-                handle.write(fmt(phi[:, r]) + "\n")
+            handle.write(lines([len(phi)] * model.total_rank, phi.T.ravel()))
         handle.write("omega\n")
-        for h in range(model.n_terms):
-            handle.write(fmt(model.omega[model.block(h)]) + "\n")
+        handle.write(lines(model.ranks, model.omega))
         handle.write("upsilon\n")
-        for n in range(model.n_replicates):
-            handle.write(fmt(model.upsilon[:, n]) + "\n")
+        handle.write(lines([model.n_terms] * model.n_replicates,
+                           model.upsilon.T.ravel()))
 
 
 def _read_floats(handle, expected, label):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CpBtdModel, effective_terms, objective
-from .sptensor import SparseCountTensor, factor_rows
+from .sptensor import SparseCountTensor, _row_blocks, factor_rows
 
 # Component mass at or below this is treated as numerically dead: the
 # column is frozen and excluded from renormalization.
@@ -339,6 +339,11 @@ def block_design(
     scores as coefficients.  Any other mode leaves its own factor out,
     scales rows by the replicate's per-component scores psi, and solves
     for A = Phi diag(tau), tau the component masses.
+
+    Memory: the design is the one nnz x total-rank float64 array a
+    block holds.  A mode block fills it a row block at a time from the
+    cell-level factor rows, so its scratch is one gathered block of at
+    most ``_BLOCK_ELEMENTS`` entries.
     """
     order = tensor.mode_order(mode)
     segment = tensor.indices[order, mode]
@@ -351,8 +356,14 @@ def block_design(
     blocks = model.block_of_component()
     safe = np.where(usage > 0, usage, 1.0)
     psi = (model.upsilon / safe[:, None])[blocks].T
-    rows = factor_rows(cells, model.factors, skip=mode)[gather]
-    design = rows * psi[tensor.indices[order, -1]]
+    rows = factor_rows(cells, model.factors, skip=mode)
+    reps = tensor.indices[order, -1]
+    design = np.empty((tensor.nnz, model.total_rank))
+    for s in _row_blocks(tensor.nnz, model.total_rank):
+        # take's default mode buffers a copy; "clip" writes in place and
+        # clips nothing, since every index is a valid cell.
+        np.take(rows, gather[s], axis=0, out=design[s], mode="clip")
+        design[s] *= psi[reps[s]]
     start = (model.factors[mode] * model.component_scale()).T
     return design, tensor.counts[order], segment, start
 

@@ -32,6 +32,10 @@ FORMAT_HEADER = "mrtensor v1"
 # Dense reconstruction refuses grids above this many cells.
 DENSE_CELL_CAP = 1_000_000
 
+# Elements per gathered temporary of a row-blocked computation: 2**16
+# float64s, 512 KB, so a block's operands stay in L2 cache.
+_BLOCK_ELEMENTS = 2**16
+
 
 @dataclass
 class SparseCountTensor:
@@ -204,6 +208,13 @@ def factor_rows(
             continue
         out *= phi[indices[:, p], :]
     return out
+
+
+def _row_blocks(n_rows: int, width: int):
+    """Consecutive slices over n_rows rows, each of _BLOCK_ELEMENTS //
+    width rows (one at least) but the last, which may be shorter."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return (slice(s, s + step) for s in range(0, n_rows, step))
 
 
 def dense_reconstruct(

@@ -156,6 +156,65 @@ def intensity_at(model, cell, replicate: int) -> float:
     return float(prod @ scores)
 
 
+def _hadamard_rows(cells, factors, skip=None):
+    """Products of factor rows at the given cells, mode by mode."""
+    out = np.ones((len(cells), factors[0].shape[1]))
+    for p, phi in enumerate(factors):
+        if p != skip:
+            out *= phi[cells[:, p]]
+    return out
+
+
+def block_design_one_shot(model, tensor, mode: int):
+    """A block's design built in one shot: every entry's cell row
+    gathered at once and, for a mode block, multiplied by every entry's
+    psi row gathered at once.  Same rows and arithmetic as the solver's
+    ``block_design``, which fills them a row block at a time."""
+    order = tensor.mode_order(mode)
+    cells, inverse = tensor.cell_groups()
+    if mode == tensor.ndim - 1:
+        mixed = _hadamard_rows(cells, model.factors) @ model.omega_matrix()
+        return mixed[inverse[order]]
+    usage = model.term_usage()
+    safe = np.where(usage > 0, usage, 1.0)
+    psi = (model.upsilon / safe[:, None])[model.block_of_component()].T
+    rows = _hadamard_rows(cells, model.factors, skip=mode)[inverse[order]]
+    return rows * psi[tensor.indices[order, -1]]
+
+
+def intensities_one_shot(model, tensor):
+    """Model intensity at every stored entry from two nnz x H gathers:
+    cell rows mixed into terms, and the replicates' scores."""
+    cells, inverse = tensor.cell_groups()
+    mixed = _hadamard_rows(cells, model.factors) @ model.omega_matrix()
+    scores = model.upsilon.T[tensor.indices[:, -1]]
+    return np.einsum("jh,jh->j", mixed[inverse], scores)
+
+
+def write_model_per_value(model, path):
+    """The ``cpbtd v1`` model text written one formatted value at a time."""
+    def fmt(arr):
+        return " ".join(format(v, ".17g") for v in arr)
+
+    with open(path, "w") as handle:
+        sizes = ",".join(str(s) for s in model.mode_sizes)
+        ranks = ",".join(str(r) for r in model.ranks)
+        handle.write(
+            f"cpbtd v1\nP={model.n_modes} I={sizes} H={model.n_terms} "
+            f"R={ranks} N={model.n_replicates}\n"
+        )
+        for p, phi in enumerate(model.factors, start=1):
+            handle.write(f"phi {p}\n")
+            for r in range(model.total_rank):
+                handle.write(fmt(phi[:, r]) + "\n")
+        handle.write("omega\n")
+        for h in range(model.n_terms):
+            handle.write(fmt(model.omega[model.block(h)]) + "\n")
+        handle.write("upsilon\n")
+        for n in range(model.n_replicates):
+            handle.write(fmt(model.upsilon[:, n]) + "\n")
+
+
 def motif_by_kron(model, term: int, scale: int):
     """A term's origin x destination matrix at a scale, one component
     at a time: Kronecker products of its per-scale profiles, coarsest

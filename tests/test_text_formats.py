@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mrtensor.cli import _read_rates
 from mrtensor.model import CpBtdModel, read_model, write_model
 from mrtensor.solver import FitReport, read_report, write_report
+from oracles import write_model_per_value
 
 # Pieces that the readers look for or that a number parser trips on.
 TOKENS = [
@@ -108,6 +109,19 @@ class TestModelText:
         assert np.array_equal(back.omega, model.omega)
         assert back.upsilon.shape == model.upsilon.shape
         assert np.array_equal(back.upsilon, model.upsilon)
+
+    @FUZZ
+    @given(models(), st.data())
+    def test_writer_matches_per_value_writer(self, model, data):
+        # The writer does not validate, so values no model admits are
+        # planted after construction to reach every %.17g spelling.
+        value = st.one_of(WEIGHTS, st.sampled_from(
+            [math.nan, math.inf, -math.inf, -0.0, -5e-324, 1e-310, 0.1]))
+        for arr in [*model.factors, model.omega, model.upsilon]:
+            arr[...] = np.reshape(data.draw(st.lists(
+                value, min_size=arr.size, max_size=arr.size)), arr.shape)
+        assert written(write_model, model) == written(
+            write_model_per_value, model)
 
 
 class TestReportText:

@@ -52,7 +52,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     fit_block_gs,
-    fit_em,
     initialize,
     mm_poisson_regression_group,
     read_report,
@@ -60,7 +59,6 @@ from .solver import (
 )
 from .sptensor import (
     SparseCountTensor,
-    dense_reconstruct,
     read_tensor,
     write_tensor,
 )
@@ -84,13 +82,11 @@ __all__ = [
     "build_tensor",
     "chain_index",
     "decode_binary_code",
-    "dense_reconstruct",
     "dissimilarity_matrix",
     "effective_rank",
     "effective_terms",
     "encode_event",
     "fit_block_gs",
-    "fit_em",
     "fold_to_multiindex",
     "initialize",
     "marginalize_to_scale",

@@ -15,7 +15,7 @@ import numpy as np
 from .encode import _dense_side, _quadrant_columns, chain_index, node_tile
 from .ingest import EventTable, team_minutes
 from .model import CpBtdModel, RANK_THRESHOLD
-from .sptensor import SparseCountTensor, dense_reconstruct
+from .sptensor import SparseCountTensor
 
 SVG_SIZE = (1150.0, 740.0)  # motif diagram width and height, SVG units
 
@@ -136,22 +136,14 @@ def match_motifs(fitted, reference) -> list[tuple[int, int, float]]:
 
 
 def simulate(
-    model: CpBtdModel,
-    rates: np.ndarray | None = None,
-    seed: int = 0,
-    method: str = "superposition",
+    model: CpBtdModel, rates: np.ndarray | None = None, seed: int = 0
 ) -> SparseCountTensor:
     """Draw one synthetic count tensor from the model.
 
-    method "superposition" samples each term's event count per
-    replicate from a Poisson at its usage rate, then places every
-    event by drawing a component from the term's mixing weights and
-    one coordinate per mode from the component's profiles.  Memory
-    stays proportional to the event count.
-
-    method "cells" draws independent Poisson counts at every cell of
-    the dense intensity grid (small models only); same distribution,
-    different route, which is what makes it worth keeping.
+    Samples each term's event count per replicate from a Poisson at its
+    usage rate, then places every event by drawing a component from the
+    term's mixing weights and one coordinate per mode from the
+    component's profiles.  Memory stays proportional to the event count.
     """
     if rates is None:
         rates = model.upsilon
@@ -160,6 +152,8 @@ def simulate(
         raise ValueError("rates must be terms x replicates")
     if rates.shape[0] != model.n_terms:
         raise ValueError("rates must have one row per term")
+    if rates.shape[1] == 0:
+        raise ValueError("rates must have at least one replicate column")
     if not np.isfinite(rates).all() or rates.min() < 0:
         raise ValueError("rates must be finite and nonnegative")
     unmixed = (rates.max(axis=1) > 0) & (model.term_sums(model.omega) <= 0)
@@ -170,15 +164,6 @@ def simulate(
     n_rep = rates.shape[1]
     shape = model.mode_sizes + (n_rep,)
     rng = np.random.default_rng(seed)
-    if method == "cells":
-        lam = dense_reconstruct(model.factors, model.omega_matrix(), rates)
-        counts = rng.poisson(lam)
-        idx = np.argwhere(counts > 0)
-        return SparseCountTensor.from_entries(
-            shape, idx, counts[counts > 0].ravel()
-        )
-    if method != "superposition":
-        raise ValueError(f"unknown sampling method {method!r}")
     events = rng.poisson(rates)
     chunks = [np.empty((0, model.n_modes + 1), dtype=np.int64)]
     for h in range(model.n_terms):

@@ -69,7 +69,7 @@ def cmd_fit(args) -> int:
     if args.report:
         solver.write_report(report, args.report)
     print(
-        f"backend={report.backend} outer={report.outer_iterations} "
+        f"outer={report.outer_iterations} "
         f"objective={report.objective[-1]:.10g} "
         f"effective_H={report.effective_terms[-1]} "
         f"stop_reason={report.stop_reason}"

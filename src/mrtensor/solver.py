@@ -50,13 +50,10 @@ from .sptensor import SparseCountTensor, _row_blocks, factor_rows
 # column is frozen and excluded from renormalization.
 DEAD_FLOOR = 1e-300
 
-# Most entries fit_em may allocate for its nnz x total-rank responsibilities.
-EM_ENTRY_CAP = 50_000_000
-
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by both fitting backends.
+    """Knobs of the block fit, ``fit_block_gs``.
 
     ``rank`` may be one bound for every term or a per-term sequence.
     ``beta`` scales with the number of positive observations J of the
@@ -129,7 +126,6 @@ class FitReport:
     than that is a fixed point and ends "converged".
     """
 
-    backend: str
     objective: list[float]
     inner_iterations: list[int]
     effective_terms: list[int]
@@ -158,7 +154,7 @@ def write_report(report: FitReport, path) -> None:
 
 
 def read_report(path) -> FitReport:
-    """Read a trace CSV; backend and stop_reason "unknown", duration NaN."""
+    """Read a trace CSV; stop_reason "unknown", duration NaN."""
     with open(path, "r") as handle:
         header = handle.readline().strip()
         if header != "outer_iter,objective,inner_iters_total,effective_H":
@@ -171,7 +167,9 @@ def read_report(path) -> FitReport:
             obj.append(float(parts[1]))
             inner.append(int(parts[2]))
             eff.append(int(parts[3]))
-    return FitReport("unknown", obj, inner, eff, float("nan"))
+    if not obj:
+        raise ValueError("fit report has no row 0, the initialization")
+    return FitReport(obj, inner, eff, float("nan"))
 
 
 class SolverError(RuntimeError):
@@ -300,7 +298,7 @@ def mm_poisson_regression_group(
 def initialize(
     config: SolverConfig, shape: tuple[int, ...], total_count: float
 ) -> CpBtdModel:
-    """Deterministic random starting point for both backends.
+    """Deterministic random starting point of a fit.
 
     Factor columns are normalized positive uniforms; mixing weights
     are uniform within each term; scores start near the count mass
@@ -477,9 +475,8 @@ def fit_block_gs(
         )
 
     def report(stop_reason="aborted"):
-        return FitReport("block-gs", list(trace), list(inner_trace),
-                         list(eff_trace), time.perf_counter() - t0,
-                         rejected, stop_reason)
+        return FitReport(list(trace), list(inner_trace), list(eff_trace),
+                         time.perf_counter() - t0, rejected, stop_reason)
 
     blocks = [(update_scores, ())]
     blocks += [(update_mode, (p,)) for p in range(model.n_modes)]
@@ -517,87 +514,6 @@ def fit_block_gs(
             # Trials that miss only by rounding mean a fixed point.
             settled = _settled([current, worst], config.outer_tol)
             return model, report("converged" if settled else "stalled")
-        if _settled(trace, config.outer_tol):
-            return model, report("converged")
-    return model, report("max_outer")
-
-
-def fit_em(
-    tensor: SparseCountTensor, config: SolverConfig
-) -> tuple[CpBtdModel, FitReport]:
-    """Expectation-maximization fit of the same model, no shrinkage.
-
-    Serves as an independent route to the unpenalized optimum: counts
-    at each stored cell are split across components proportionally to
-    their current intensity share, and every parameter group has a
-    closed-form update from the expected allocations.  The likelihood
-    is nondecreasing, so the objective trace is nonincreasing.
-
-    Raises ValueError when shrinkage is requested (the EM recursions
-    cover the plain likelihood only) or when nnz * total rank exceeds
-    the responsibility-matrix entry cap.
-    """
-    if config.beta != 0:
-        raise ValueError("the EM backend is unpenalized; set beta = 0")
-    ranks = config.resolved_ranks()
-    total_rank = sum(ranks)
-    if tensor.nnz * total_rank > EM_ENTRY_CAP:
-        raise ValueError(
-            f"responsibilities need {tensor.nnz * total_rank} entries, "
-            f"over the cap {EM_ENTRY_CAP}; use fit_block_gs"
-        )
-    t0 = time.perf_counter()
-    model = initialize(config, tensor.shape, float(tensor.total))
-    blocks = model.block_of_component()
-    idx = tensor.indices
-    cells, inverse = tensor.cell_groups()
-    counts = tensor.counts.astype(np.float64)
-    trace = [objective(model, tensor)]
-    eff_trace = [effective_terms(model)]
-
-    def report(stop_reason="aborted"):
-        return FitReport("em", list(trace), [0] + [1] * (len(trace) - 1),
-                         list(eff_trace), time.perf_counter() - t0,
-                         stop_reason=stop_reason)
-
-    for _ in range(config.max_outer):
-        base = factor_rows(cells, model.factors)[inverse]
-        comp = base * model.omega * model.upsilon[blocks][:, idx[:, -1]].T
-        lam = comp.sum(axis=1)
-        if (lam <= 0).any():
-            raise SolverError(
-                "fit aborted: zero intensity at a stored count",
-                model=model,
-                report=report(),
-            )
-        alloc = comp * (counts / lam)[:, None]
-
-        col_mass = alloc.sum(axis=0)
-        # Explicit normalizer of the score update; identically one
-        # while the factor columns and mixing blocks stay stochastic.
-        colsum = np.ones(total_rank)
-        for phi in model.factors:
-            colsum *= phi.sum(axis=0)
-        blks = [model.block(h) for h in range(model.n_terms)]
-        denom = np.array([float(model.omega[b] @ colsum[b]) for b in blks])
-        per_rep = np.zeros((tensor.shape[-1], total_rank))
-        np.add.at(per_rep, idx[:, -1], alloc)
-        ups = np.add.reduceat(per_rep.T, model._offsets[:-1]) / denom[:, None]
-        factors = []
-        for p in range(model.n_modes):
-            numer = np.zeros_like(model.factors[p])
-            np.add.at(numer, idx[:, p], alloc)
-            new = model.factors[p].copy()
-            live = col_mass > 0
-            new[:, live] = numer[:, live] / col_mass[live]
-            factors.append(new)
-        mass = model.term_sums(col_mass)[blocks]
-        omega = np.where(
-            mass > 0, col_mass / np.where(mass > 0, mass, 1.0), model.omega
-        )
-        model = CpBtdModel(ranks, factors, omega, ups)
-        trace.append(objective(model, tensor))
-        eff_trace.append(effective_terms(model))
         if _settled(trace, config.outer_tol):
             return model, report("converged")
     return model, report("max_outer")

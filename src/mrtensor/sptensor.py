@@ -29,9 +29,6 @@ import numpy as np
 
 FORMAT_HEADER = "mrtensor v1"
 
-# Dense reconstruction refuses grids above this many cells.
-DENSE_CELL_CAP = 1_000_000
-
 # Elements per gathered temporary of a row-blocked computation: 2**16
 # float64s, 512 KB, so a block's operands stay in L2 cache.
 _BLOCK_ELEMENTS = 2**16
@@ -137,16 +134,6 @@ class SparseCountTensor:
             self._cells = (lead[new], np.cumsum(new) - 1)
         return self._cells
 
-    def densify(self) -> np.ndarray:
-        """Dense counts; guarded by the cell cap."""
-        if self.n_cells > DENSE_CELL_CAP:
-            raise ValueError(
-                f"{self.n_cells} cells exceed the dense cap {DENSE_CELL_CAP}"
-            )
-        out = np.zeros(self.shape, dtype=np.int64)
-        out[tuple(self.indices.T)] = self.counts
-        return out
-
 
 def write_tensor(tensor: SparseCountTensor, path) -> None:
     """Write the ``mrtensor v1`` text form (1-based, lexicographic)."""
@@ -215,27 +202,3 @@ def _row_blocks(n_rows: int, width: int):
     width rows (one at least) but the last, which may be shorter."""
     step = max(1, _BLOCK_ELEMENTS // width)
     return (slice(s, s + step) for s in range(0, n_rows, step))
-
-
-def dense_reconstruct(
-    factors: list[np.ndarray],
-    omega_matrix: np.ndarray,
-    upsilon: np.ndarray,
-) -> np.ndarray:
-    """Dense intensity grid of a factor model (small shapes only).
-
-    Returns an array of shape (I_1, ..., I_P, N).  Intended for
-    oracle-style cross-checks; raises if the grid exceeds the dense
-    cell cap.
-    """
-    sizes = [phi.shape[0] for phi in factors]
-    n = upsilon.shape[1]
-    cells = math.prod(sizes + [n])
-    if cells > DENSE_CELL_CAP:
-        raise ValueError(f"{cells} cells exceed the dense cap {DENSE_CELL_CAP}")
-    width = factors[0].shape[1]
-    full = np.ones((1, width))
-    for phi in factors:
-        full = (full[:, None, :] * phi[None, :, :]).reshape(-1, width)
-    lam = full @ (omega_matrix @ upsilon)
-    return lam.reshape(*sizes, n)

@@ -1,14 +1,24 @@
 """Independent reference computations used by several test modules.
 
 Everything here is deliberately naive: dense grids, explicit loops,
-and direct formula evaluation.  None of it shares code with the
-package beyond numpy itself.
+and direct formula evaluation, with no input checks or size caps.
+Most of it shares no code with the package beyond numpy itself.  The
+exceptions work on the package's containers: ``simulate_cells``
+returns a ``SparseCountTensor``, and ``fit_em`` updates the package's
+model class, starts from ``initialize`` (so criterion 5 compares two
+routes from one start) and scores with ``objective`` (so both routes
+trace the same function).  Their updates and draws are their own.
 """
 
 import csv
 import math
+import time
 
 import numpy as np
+
+from mrtensor.model import CpBtdModel, effective_terms, objective
+from mrtensor.solver import FitReport, initialize
+from mrtensor.sptensor import SparseCountTensor
 
 
 def poisson_objective(design, counts, coef) -> float:
@@ -189,6 +199,108 @@ def intensities_one_shot(model, tensor):
     mixed = _hadamard_rows(cells, model.factors) @ model.omega_matrix()
     scores = model.upsilon.T[tensor.indices[:, -1]]
     return np.einsum("jh,jh->j", mixed[inverse], scores)
+
+
+def densify(tensor):
+    """Dense int64 counts of a sparse tensor."""
+    out = np.zeros(tensor.shape, dtype=np.int64)
+    out[tuple(tensor.indices.T)] = tensor.counts
+    return out
+
+
+def dense_reconstruct(factors, omega_matrix, upsilon):
+    """Dense intensity grid of a factor model, shape (I_1, ..., I_P, N)."""
+    sizes = [phi.shape[0] for phi in factors]
+    n = upsilon.shape[1]
+    width = factors[0].shape[1]
+    full = np.ones((1, width))
+    for phi in factors:
+        full = (full[:, None, :] * phi[None, :, :]).reshape(-1, width)
+    lam = full @ (omega_matrix @ upsilon)
+    return lam.reshape(*sizes, n)
+
+
+def simulate_cells(model, seed=0):
+    """``simulate``'s distribution by another route: independent Poisson
+    counts at every cell of the dense intensity grid."""
+    shape = model.mode_sizes + (model.n_replicates,)
+    rng = np.random.default_rng(seed)
+    lam = dense_reconstruct(model.factors, model.omega_matrix(), model.upsilon)
+    counts = rng.poisson(lam)
+    idx = np.argwhere(counts > 0)
+    return SparseCountTensor.from_entries(
+        shape, idx, counts[counts > 0].ravel()
+    )
+
+
+def fit_em(tensor, config):
+    """Expectation-maximization fit of the same model, no shrinkage.
+
+    An independent route to the unpenalized optimum: counts at each
+    stored cell are split across components proportionally to their
+    current intensity share, and every parameter group has a
+    closed-form update from the expected allocations.  The likelihood
+    is nondecreasing, so the objective trace is nonincreasing.  Stops
+    by ``fit_block_gs``'s rule; raises ValueError when shrinkage is
+    requested (the EM recursions cover the plain likelihood only).
+    """
+    if config.beta != 0:
+        raise ValueError("the EM backend is unpenalized; set beta = 0")
+    ranks = config.resolved_ranks()
+    total_rank = sum(ranks)
+    t0 = time.perf_counter()
+    model = initialize(config, tensor.shape, float(tensor.total))
+    blocks = model.block_of_component()
+    idx = tensor.indices
+    cells, inverse = tensor.cell_groups()
+    counts = tensor.counts.astype(np.float64)
+    trace = [objective(model, tensor)]
+    eff_trace = [effective_terms(model)]
+
+    def report(stop_reason):
+        return FitReport(list(trace), [0] + [1] * (len(trace) - 1),
+                         list(eff_trace), time.perf_counter() - t0,
+                         stop_reason=stop_reason)
+
+    for _ in range(config.max_outer):
+        base = _hadamard_rows(cells, model.factors)[inverse]
+        comp = base * model.omega * model.upsilon[blocks][:, idx[:, -1]].T
+        lam = comp.sum(axis=1)
+        if (lam <= 0).any():
+            raise ValueError("zero intensity at a stored count")
+        alloc = comp * (counts / lam)[:, None]
+
+        col_mass = alloc.sum(axis=0)
+        # Explicit normalizer of the score update; identically one
+        # while the factor columns and mixing blocks stay stochastic.
+        colsum = np.ones(total_rank)
+        for phi in model.factors:
+            colsum *= phi.sum(axis=0)
+        blks = [model.block(h) for h in range(model.n_terms)]
+        denom = np.array([float(model.omega[b] @ colsum[b]) for b in blks])
+        per_rep = np.zeros((tensor.shape[-1], total_rank))
+        np.add.at(per_rep, idx[:, -1], alloc)
+        ups = np.add.reduceat(per_rep.T, model._offsets[:-1]) / denom[:, None]
+        factors = []
+        for p in range(model.n_modes):
+            numer = np.zeros_like(model.factors[p])
+            np.add.at(numer, idx[:, p], alloc)
+            new = model.factors[p].copy()
+            live = col_mass > 0
+            new[:, live] = numer[:, live] / col_mass[live]
+            factors.append(new)
+        mass = model.term_sums(col_mass)[blocks]
+        omega = np.where(
+            mass > 0, col_mass / np.where(mass > 0, mass, 1.0), model.omega
+        )
+        model = CpBtdModel(ranks, factors, omega, ups)
+        trace.append(objective(model, tensor))
+        eff_trace.append(effective_terms(model))
+        if abs(trace[-2] - trace[-1]) < config.outer_tol * max(
+            1.0, abs(trace[-2])
+        ):
+            return model, report("converged")
+    return model, report("max_outer")
 
 
 def write_model_per_value(model, path):

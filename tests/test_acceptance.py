@@ -38,16 +38,19 @@ from mrtensor.model import (
 from mrtensor.solver import (
     SolverConfig,
     fit_block_gs,
-    fit_em,
     mm_poisson_regression_group,
     penalized_objective,
 )
-from mrtensor.sptensor import SparseCountTensor, dense_reconstruct
+from mrtensor.sptensor import SparseCountTensor
 
 from oracles import (
+    dense_reconstruct,
+    densify,
+    fit_em,
     grid_minimize_poisson,
     poisson_objective,
     random_regression_instance,
+    simulate_cells,
 )
 
 # Models fitted by criteria 4-6, audited for scale consistency by
@@ -416,11 +419,12 @@ class TestCriterion9:
         lam = dense_reconstruct(
             planted.factors, planted.omega_matrix(), planted.upsilon)
         n_draws = 200
-        for method in ("superposition", "cells"):
+        samplers = {"superposition": simulate, "cells": simulate_cells}
+        for method, sample in samplers.items():
             sums = np.zeros_like(lam)
             for s in range(n_draws):
-                drawn = simulate(planted, seed=31000 + s, method=method)
-                sums += drawn.densify()
+                drawn = sample(planted, seed=31000 + s)
+                sums += densify(drawn)
             z = (sums / n_draws - lam) / np.sqrt(lam / n_draws)
             worst = float(np.max(np.abs(z)))
             if worst >= 3.0:

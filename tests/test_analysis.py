@@ -19,6 +19,8 @@ from mrtensor.encode import adjacency_at_scale, build_tensor
 from mrtensor.model import CpBtdModel
 from mrtensor.ingest import EventTable, Replicate, parse_events, team_minutes
 
+from oracles import simulate_cells
+
 
 def table_from(rows):
     header = "replicate_id,team,minutes,x_o,y_o,x_d,y_d"
@@ -242,8 +244,8 @@ class TestMotifRanking:
 class TestSimulate:
     def test_concentrated_model_fills_one_cell(self):
         model = concentrated_model()
-        for method in ("superposition", "cells"):
-            t = simulate(model, seed=11, method=method)
+        for sample in (simulate, simulate_cells):
+            t = sample(model, seed=11)
             assert t.shape == (2, 2, 2)
             if t.nnz:
                 np.testing.assert_array_equal(
@@ -269,8 +271,10 @@ class TestSimulate:
             simulate(model, rates=np.ones((2, 2)))
         with pytest.raises(ValueError):
             simulate(model, rates=-np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            simulate(model, method="bootstrap")
+
+    def test_no_replicate_columns_rejected(self):
+        with pytest.raises(ValueError, match="replicate column"):
+            simulate(concentrated_model(), rates=np.empty((1, 0)))
 
     def test_scalar_rates_rejected(self):
         with pytest.raises(ValueError, match="terms x replicates"):

@@ -147,7 +147,6 @@ class TestFit:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend=block-gs" in out
         assert "stop_reason=" in out
         fitted = read_model(model)
         assert fitted.n_terms == 2
@@ -419,7 +418,7 @@ def test_default_geometry_flags_are_field_geometry(command, scale):
 ], ids=["rank list", "scales list", "config", "backend", "method"])
 def test_parser_rejects_and_writes_nothing(tmp_path, argv, message, capsys):
     # fit always runs fit_block_gs and simulate always superposes draws;
-    # fit_em and method="cells" stay library cross-checks.
+    # the EM fit and the per-cell sampler are test oracles.
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
@@ -440,6 +439,18 @@ class TestSimulate:
         t = read_tensor(out)
         assert t.shape[-1] == 2
         assert t.total > 0
+
+    def test_no_replicate_columns_exits_two(
+        self, tmp_path, fitted_model, capsys
+    ):
+        rates = tmp_path / "rates.csv"
+        rates.write_text("term\n1\n2\n")
+        out = tmp_path / "sim.txt"
+        code = main(["simulate", str(fitted_model), str(rates),
+                     "--out", str(out)])
+        assert code == 2
+        assert "replicate column" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_header_rejected(self, tmp_path, fitted_model, capsys):
         rates = tmp_path / "rates.csv"

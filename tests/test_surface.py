@@ -1,5 +1,5 @@
-"""The public surface, pinned: a new public name, solver knob or CLI
-flag must be added here on purpose."""
+"""The public surface, pinned: a new public name, solver knob, report
+field or CLI flag must be added here on purpose."""
 
 import argparse
 import ast
@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import mrtensor
-from mrtensor import SolverConfig
+from mrtensor import FitReport, SolverConfig
 from mrtensor.cli import build_parser
 
 PUBLIC_NAMES = [
@@ -18,9 +18,9 @@ PUBLIC_NAMES = [
     "SolverConfig", "SolverError", "SparseCountTensor",
     "adjacency_at_scale", "binary_code", "bray_curtis", "build_tensor",
     "chain_index", "decode_binary_code",
-    "dense_reconstruct", "dissimilarity_matrix", "effective_rank",
+    "dissimilarity_matrix", "effective_rank",
     "effective_terms", "encode_event", "fit_block_gs",
-    "fit_em", "fold_to_multiindex", "initialize",
+    "fold_to_multiindex", "initialize",
     "marginalize_to_scale", "match_motifs",
     "mm_poisson_regression_group", "motif_at_scale",
     "node_tile", "normalize_scores", "objective", "parse_events",
@@ -31,6 +31,11 @@ PUBLIC_NAMES = [
 
 SOLVER_KNOBS = [
     "n_terms", "rank", "beta", "max_outer", "max_inner", "outer_tol", "seed",
+]
+
+REPORT_FIELDS = [
+    "objective", "inner_iterations", "effective_terms", "duration",
+    "rejected_blocks", "stop_reason",
 ]
 
 
@@ -62,6 +67,10 @@ def test_public_names_documented():
 
 def test_solver_config_fields():
     assert [f.name for f in fields(SolverConfig)] == SOLVER_KNOBS
+
+
+def test_report_fields():
+    assert [f.name for f in fields(FitReport)] == REPORT_FIELDS
 
 
 def test_cli_flags():

@@ -87,7 +87,7 @@ MODEL_TEXT = written(write_model, CpBtdModel(
     (2, 1), [np.full((2, 3), 0.5), np.full((4, 3), 0.25)],
     np.array([0.5, 0.5, 1.0]), np.array([[3.0, 1.5], [0.0, 2.0]])))
 REPORT_TEXT = written(write_report, FitReport(
-    "block-gs", [10.5, 4.25, 4.0], [0, 12, 9], [2, 2, 1], 0.1))
+    [10.5, 4.25, 4.0], [0, 12, 9], [2, 2, 1], 0.1))
 RATES_TEXT = "term,n1,n2\n1,3.5,0\n2,1e-3,7\n"
 
 
@@ -133,16 +133,21 @@ class TestReportText:
 
     @FUZZ
     @given(st.lists(st.tuples(st.floats(), st.integers(0, 2**40),
-                              st.integers(0, 10**6)), max_size=8))
+                              st.integers(0, 10**6)),
+                    min_size=1, max_size=8))
     def test_round_trip_exact(self, rows):
         objective = [r[0] for r in rows]
         inner = [r[1] for r in rows]
         eff = [r[2] for r in rows]
-        report = FitReport("em", objective, inner, eff, 1.0)
+        report = FitReport(objective, inner, eff, 1.0)
         back = read_text(read_report, written(write_report, report))
         assert np.array_equal(back.objective, objective, equal_nan=True)
         assert back.inner_iterations == inner
         assert back.effective_terms == eff
+
+    def test_header_without_row_zero_rejected(self):
+        header = REPORT_TEXT.splitlines(keepends=True)[0]
+        assert read_text(read_report, header) is None
 
 
 class TestRatesText:

@@ -12,13 +12,11 @@ import io
 import numpy as np
 
 from mrtensor import (
+    EventTable,
     FieldGeometry,
     adjacency_at_scale,
-    binary_code,
     build_tensor,
     chain_index,
-    encode_event,
-    fold_to_multiindex,
     marginalize_to_scale,
     node_tile,
     parse_events,
@@ -54,16 +52,21 @@ print(f"\nfirst pass, standardized coords: "
 tiles = [int(c * 2 ** DEPTH) for c in (x_o, y_o, x_d, y_d)]
 print(f"tile indices at depth {DEPTH}: {tiles}")
 for name, t in zip(("x_o", "y_o", "x_d", "y_d"), tiles):
-    print(f"  {name}: tile {t} = bits {binary_code(t, DEPTH)}")
+    print(f"  {name}: tile {t} = bits {format(t, f'0{DEPTH}b')}")
 
-matrix = encode_event(tiles, DEPTH)
-multi = fold_to_multiindex(matrix, replicate=0)
-print(f"quadrant pairs per scale (1..4 labels): {multi.pairs}")
-print(f"flat tensor cell: {multi.flat()}")
+# at each scale an end's x bit and y bit fold into one quadrant label,
+# x + 2y: encoding this pass alone gives one tensor entry holding the
+# (origin, destination) labels per scale, then the replicate
+first = EventTable(table.replicates, table.replicate_index[:1],
+                   table.coords[:1])
+(entry,) = build_tensor(first, DEPTH).indices
+labels = (entry[:-1] + 1).tolist()
+print(f"quadrant pairs per scale (1..4 labels): "
+      f"{list(zip(labels[0::2], labels[1::2]))}")
+print(f"tensor cell (0-based): {tuple(entry.tolist())}")
 
 # the origin quadrant chain alone names a node of the depth-3 grid
-quads = np.asarray(multi.pairs) - 1
-origin_node = int(chain_index(quads[None, :, 0])[0])
+origin_node = int(chain_index(entry[0:-1:2])[0])
 print(f"origin node {origin_node} sits at tile {node_tile(origin_node, DEPTH)}")
 
 # ---------------------------------------------------------

@@ -19,14 +19,9 @@ from .analysis import (
     write_motif_svg,
 )
 from .encode import (
-    MultiIndex,
     adjacency_at_scale,
-    binary_code,
     build_tensor,
     chain_index,
-    decode_binary_code,
-    encode_event,
-    fold_to_multiindex,
     marginalize_to_scale,
     node_tile,
 )
@@ -71,23 +66,18 @@ __all__ = [
     "EventTable",
     "FieldGeometry",
     "FitReport",
-    "MultiIndex",
     "Replicate",
     "SolverConfig",
     "SolverError",
     "SparseCountTensor",
     "adjacency_at_scale",
-    "binary_code",
     "bray_curtis",
     "build_tensor",
     "chain_index",
-    "decode_binary_code",
     "dissimilarity_matrix",
     "effective_rank",
     "effective_terms",
-    "encode_event",
     "fit_block_gs",
-    "fold_to_multiindex",
     "initialize",
     "marginalize_to_scale",
     "match_motifs",

@@ -1,28 +1,28 @@
 """Multiresolution dyadic encoding of pass events.
 
 A standardized coordinate c in [0, 1) falls in tile floor(c * 2**S) of
-the dyadic grid with 2**S cells per axis.  Writing the tile index in
-binary, i = sum_s bits[s] * 2**(S-s), exposes one bit per scale with
-bit 1 the coarsest: prefixes of the bit string locate the tile in every
-coarser grid at once.
+the dyadic grid with 2**S cells per axis.  The tile's binary digits,
+coarsest first, pick one half of the axis per scale: the scale-s bit
+is (tile >> (S - s)) & 1, and the first s bits locate the tile in the
+coarser 2**s grid.
 
-A pass has four coordinate modes (x_o, y_o, x_d, y_d).  At each scale
-the two origin bits fold into one quadrant label in {1, 2, 3, 4} and
-likewise for the destination, so an event at depth S becomes a
-multi-index with 2S quadrant modes plus the replicate mode.  Counting
-events over those multi-indices yields a sparse tensor of shape
-4 x ... x 4 x N whose marginals telescope across scales: summing out
-the two finest modes is exactly the encoding one scale up.
+A pass has four coordinate modes (x_o, y_o, x_d, y_d).
+``_quadrant_columns`` takes the bits of every event at once and folds
+each end's x and y bit at scale s into one 0-based quadrant label,
+x_bit + 2 * y_bit, so an event at depth S becomes 2S labels (origin,
+destination, scale 1 first).  ``build_tensor`` appends the replicate
+and counts events into a sparse tensor of shape 4 x ... x 4 x N whose
+marginals telescope across scales: summing out the two finest modes is
+exactly the encoding one scale up.  ``chain_index`` reads one end's
+labels as base-4 digits, coarsest most significant, to name its node
+of the 4**s grid, and ``node_tile`` maps a node back to its tile.
 """
-
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import EventTable
-from .sptensor import SparseCountTensor
+from .sptensor import SparseCountTensor, _int64
 
 # Most cells a dense node x node output may hold: twenty teams' scale-5
 # networks (20 x 4**10 cells) fit, one scale-7 matrix (4**14) does not.
@@ -48,81 +48,6 @@ def _dense_side(scale: int, copies: int = 1) -> int:
         raise ValueError(f"scale {scale} needs {cells} dense node x node "
                          f"cells, over the cap {NODE_CELL_CAP}")
     return 4**scale
-
-
-def binary_code(i: int, scales: int) -> tuple[int, ...]:
-    """Bits of tile index ``i`` at depth ``scales``, coarsest first."""
-    if scales < 1:
-        raise ValueError("scales must be >= 1")
-    if not 0 <= i < 2**scales:
-        raise ValueError(f"tile index {i} out of range for S={scales}")
-    return tuple((i >> (scales - s)) & 1 for s in range(1, scales + 1))
-
-
-def decode_binary_code(bits) -> int:
-    """Inverse of binary_code: coarsest-first bits back to the index."""
-    i = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        i = (i << 1) | int(b)
-    return i
-
-
-def encode_event(tiles, scales: int) -> np.ndarray:
-    """Index matrix of one event: rows (x_o, y_o, x_d, y_d), columns scales.
-
-    ``tiles`` holds the four tile indices of the event at depth
-    ``scales``; entry [k, s-1] of the result is the scale-s bit of
-    mode k's tile index.
-    """
-    tiles = tuple(int(t) for t in tiles)
-    if len(tiles) != 4:
-        raise ValueError("an event has exactly four coordinate modes")
-    return np.array([binary_code(t, scales) for t in tiles], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Folded per-scale quadrant labels of one event (1-based).
-
-    ``pairs[s-1]`` is (origin quadrant, destination quadrant) at scale
-    s, each label in {1, 2, 3, 4}; ``replicate`` is the replicate slot.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    replicate: int
-
-    def __post_init__(self):
-        for o, d in self.pairs:
-            if not (1 <= o <= 4 and 1 <= d <= 4):
-                raise ValueError("quadrant labels must be in {1, 2, 3, 4}")
-
-    def flat(self) -> tuple[int, ...]:
-        """(o_1, d_1, ..., o_S, d_S, replicate), labels 1-based."""
-        out: list[int] = []
-        for o, d in self.pairs:
-            out.extend((o, d))
-        out.append(self.replicate)
-        return tuple(out)
-
-
-def fold_to_multiindex(index_matrix: np.ndarray, replicate: int) -> MultiIndex:
-    """Fold a 4 x S index matrix into per-scale quadrant pairs.
-
-    At each scale the x bit is the fast axis and the y bit the slow
-    one: quadrant = x_bit + 2 * y_bit + 1.
-    """
-    b = np.asarray(index_matrix)
-    if b.ndim != 2 or b.shape[0] != 4:
-        raise ValueError("index matrix must be 4 x S")
-    if not np.isin(b, (0, 1)).all():
-        raise ValueError("index matrix entries must be bits")
-    pairs = tuple(
-        (int(b[0, s] + 2 * b[1, s]) + 1, int(b[2, s] + 2 * b[3, s]) + 1)
-        for s in range(b.shape[1])
-    )
-    return MultiIndex(pairs, replicate)
 
 
 def _quadrant_columns(coords: np.ndarray, scales: int) -> np.ndarray:
@@ -183,7 +108,9 @@ def chain_index(quadrants: np.ndarray) -> np.ndarray:
     significant base-4 digit, so parents at scale s-1 own contiguous
     blocks of 4 children.
     """
-    q = np.atleast_2d(np.asarray(quadrants, dtype=np.int64))
+    q = np.atleast_2d(_int64(quadrants, "quadrant labels"))
+    if q.min(initial=0) < 0 or q.max(initial=0) > 3:
+        raise ValueError("quadrant labels must lie in 0..3")
     s = q.shape[1]
     weights = 4 ** np.arange(s - 1, -1, -1, dtype=np.int64)
     return q @ weights
@@ -191,6 +118,8 @@ def chain_index(quadrants: np.ndarray) -> np.ndarray:
 
 def node_tile(node: int, scales: int) -> tuple[int, int]:
     """(x, y) tile of a 0-based chained node index on the 2**s grid."""
+    if scales < 0 or not 0 <= node < 4**scales:
+        raise ValueError(f"node {node} out of range for scale {scales}")
     tx = ty = 0
     for s in range(scales):
         digit = (node // 4 ** (scales - 1 - s)) % 4
@@ -209,8 +138,9 @@ def adjacency_at_scale(
     A parent edge equals the sum of its 16 child edges one scale down.
     """
     _grid_depth(tensor.shape[:-1], scales)
-    if not 0 <= replicate < tensor.shape[-1]:
-        raise ValueError("replicate out of range")
+    n = tensor.shape[-1]
+    if not isinstance(replicate, (int, np.integer)) or not 0 <= replicate < n:
+        raise ValueError(f"replicate must be an integer in [0, {n})")
     size = _dense_side(scales)
     rows = tensor.indices[:, -1] == replicate
     idx = tensor.indices[rows]

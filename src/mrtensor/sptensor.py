@@ -34,6 +34,19 @@ FORMAT_HEADER = "mrtensor v1"
 _BLOCK_ELEMENTS = 2**16
 
 
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` as int64, without a copy when they already are;
+    raises ValueError where the cast would change one (1.5, NaN, inf)."""
+    values = np.asarray(values)
+    if values.dtype.kind == "i":
+        return values.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        cast = values.astype(np.int64)
+    if not np.array_equal(cast, values):
+        raise ValueError(f"{what} must be integers")
+    return cast
+
+
 @dataclass
 class SparseCountTensor:
     """Canonical sparse nonnegative integer count tensor."""
@@ -48,8 +61,8 @@ class SparseCountTensor:
         self.shape = tuple(int(d) for d in self.shape)
         if not self.shape or min(self.shape) <= 0:
             raise ValueError("need one or more modes, all of positive size")
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.indices = _int64(self.indices, "indices")
+        self.counts = _int64(self.counts, "counts")
         if self.indices.ndim != 2 or self.indices.shape[1] != len(self.shape):
             raise ValueError("indices must be (nnz, ndim)")
         if self.counts.shape != (self.indices.shape[0],):
@@ -70,8 +83,8 @@ class SparseCountTensor:
     @classmethod
     def from_entries(cls, shape, indices, counts) -> "SparseCountTensor":
         """Build the canonical form: merge duplicates, sort, drop zeros."""
-        indices = np.asarray(indices, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        indices = _int64(indices, "indices")
+        counts = _int64(counts, "counts")
         if indices.ndim != 2:
             indices = indices.reshape(len(counts), len(shape))
         order = np.lexsort(indices.T[::-1])

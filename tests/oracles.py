@@ -201,6 +201,19 @@ def intensities_one_shot(model, tensor):
     return np.einsum("jh,jh->j", mixed[inverse], scores)
 
 
+def quadrant_labels(tiles, depth):
+    """0-based (origin, destination) quadrant labels of one event, one
+    pair per scale, coarsest first; ``tiles`` are its (x_o, y_o, x_d,
+    y_d) tile indices at ``depth``.  A label is x bit + 2 * y bit."""
+    tiles = [int(t) for t in tiles]
+    pairs = []
+    for _ in range(depth):
+        bits = [t % 2 for t in tiles]
+        tiles = [t // 2 for t in tiles]
+        pairs.append((bits[0] + 2 * bits[1], bits[2] + 2 * bits[3]))
+    return pairs[::-1]
+
+
 def densify(tensor):
     """Dense int64 counts of a sparse tensor."""
     out = np.zeros(tensor.shape, dtype=np.int64)

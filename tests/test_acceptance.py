@@ -19,13 +19,10 @@ from mrtensor.analysis import (
     simulate,
 )
 from mrtensor.encode import (
+    _quadrant_columns,
     adjacency_at_scale,
-    binary_code,
     build_tensor,
     chain_index,
-    decode_binary_code,
-    encode_event,
-    fold_to_multiindex,
     marginalize_to_scale,
     node_tile,
 )
@@ -118,30 +115,37 @@ def recovery_benchmark(seed: int, n_rep: int = 40, mean_rate: float = 41.0):
 
 class TestCriterion1:
     def test_encoding_exactness(self):
+        # The path build_tensor runs: _quadrant_columns labels each
+        # scale, chain_index folds one end's labels into a node, and
+        # node_tile must give back that end's (x, y) tiles.
         t0 = time.perf_counter()
         failures = []
+
+        def tiles_back(tiles, depth):
+            quads = _quadrant_columns((tiles + 0.5) / 2**depth, depth)
+            tile_of = np.array([node_tile(n, depth) for n in range(4**depth)])
+            return np.hstack([tile_of[chain_index(quads[:, e::2])]
+                              for e in (0, 1)])
+
+        # Every (x, y) tile at S <= 6, with x and y swapped at the
+        # destination, then every tile 4-tuple at S <= 3.
         for depth in range(1, 7):
-            for tile in range(2**depth):
-                if decode_binary_code(binary_code(tile, depth)) != tile:
-                    failures.append(f"round trip broke at S={depth}, tile {tile}")
-        # Full event path at S <= 3: every tile 4-tuple survives
-        # encode -> fold -> chained node -> tile recovery.
+            x, y = np.indices((2**depth,) * 2).reshape(2, -1)
+            tiles = np.column_stack([x, y, y, x])
+            if not np.array_equal(tiles_back(tiles, depth), tiles):
+                failures.append(f"round trip broke at S={depth}")
         for depth in range(1, 4):
-            side = 2**depth
-            for flat in range(side**4):
-                tiles = np.unravel_index(flat, (side,) * 4)
-                matrix = encode_event(tiles, depth)
-                multi = fold_to_multiindex(matrix, 0)
-                quads = np.asarray(multi.pairs) - 1
-                origin = int(chain_index(quads[None, :, 0])[0])
-                dest = int(chain_index(quads[None, :, 1])[0])
-                got = node_tile(origin, depth) + node_tile(dest, depth)
-                if got != tiles:
-                    failures.append(f"event path broke at S={depth}, {tiles}")
-        matrix = encode_event((1, 6, 4, 3), 3)
-        rows = [tuple(int(b) for b in matrix[:, s]) for s in range(3)]
-        if rows != [(0, 1, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1)]:
-            failures.append(f"reference event bit rows were {rows}")
+            tiles = np.indices((2**depth,) * 4).reshape(4, -1).T
+            bad = (tiles_back(tiles, depth) != tiles).any(axis=1)
+            failures += [f"event path broke at S={depth}, {tuple(t)}"
+                         for t in tiles[bad][:5]]
+        # Reference event (1, 6, 4, 3) at S = 3: bit rows (x_o, y_o, x_d,
+        # y_d) per scale (0,1,1,0), (0,1,0,1), (1,0,0,1); labels 1-based.
+        quads = _quadrant_columns((np.array([[1, 6, 4, 3]]) + 0.5) / 8, 3)
+        labels = (quads[0] + 1).tolist()
+        pairs = list(zip(labels[0::2], labels[1::2]))
+        if pairs != [(3, 2), (3, 3), (2, 3)]:
+            failures.append(f"reference event pairs were {pairs}")
         elapsed = time.perf_counter() - t0
         if elapsed >= 1.0:
             failures.append(f"runtime {elapsed:.2f}s")

@@ -79,7 +79,8 @@ def test_readme_names_only_real_flags():
 def test_demo_runs(tmp_path, demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-W", "error::DeprecationWarning", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -1,30 +1,30 @@
 """Dyadic codes, folding, tensor construction, and network views.
 
-The marginalization and adjacency tests lean on re-encoding oracles:
+The bit and label tests read the array path ``build_tensor`` runs; the
+oracle's one-bit-at-a-time labels check it event by event.  The
+marginalization and adjacency tests lean on re-encoding oracles:
 whatever the fast path produces must agree entry for entry with
 encoding the same events directly at the coarser depth.
 """
 
 import io
+import itertools
 
 import numpy as np
 import pytest
 
 from mrtensor.encode import (
+    _quadrant_columns,
     adjacency_at_scale,
-    binary_code,
     build_tensor,
     chain_index,
-    decode_binary_code,
-    encode_event,
-    fold_to_multiindex,
     marginalize_to_scale,
     node_tile,
 )
-from mrtensor.ingest import parse_events
+from mrtensor.ingest import EventTable, Replicate, parse_events
 from mrtensor.sptensor import SparseCountTensor
 
-from oracles import densify
+from oracles import densify, quadrant_labels
 
 NOT_GRIDS = [(3, 3, 2), (8, 8, 2), (4, 4, 4, 2), (2,)]
 
@@ -48,43 +48,57 @@ def random_table(rng, n_events=200, n_reps=3):
     return table_from(rows)
 
 
+def quadrants_at(tiles, depth):
+    """Labels of events at the centres of ``tiles``, rows of (x_o, y_o,
+    x_d, y_d) tile indices at ``depth``."""
+    return _quadrant_columns((np.atleast_2d(tiles) + 0.5) / 2**depth, depth)
+
+
+def tile_bits(quadrants):
+    """One event's labels as bits: rows (x_o, y_o, x_d, y_d), columns
+    scales."""
+    o, d = quadrants[0::2], quadrants[1::2]
+    return np.stack([o & 1, o >> 1, d & 1, d >> 1])
+
+
 class TestBinaryCode:
     def test_known_codes_depth_three(self):
-        assert binary_code(1, 3) == (0, 0, 1)
-        assert binary_code(6, 3) == (1, 1, 0)
-        assert binary_code(4, 3) == (1, 0, 0)
-        assert binary_code(3, 3) == (0, 1, 1)
-
-    def test_round_trip_is_exact_for_shallow_depths(self):
-        for scales in range(1, 7):
-            for i in range(2**scales):
-                bits = binary_code(i, scales)
-                assert len(bits) == scales
-                assert decode_binary_code(bits) == i
+        # Each tile alone on one mode carries its index in binary,
+        # coarsest first, and leaves the other modes' bits zero.
+        for tile, mode in itertools.product(range(8), range(4)):
+            tiles = np.zeros(4, dtype=int)
+            tiles[mode] = tile
+            bits = tile_bits(quadrants_at(tiles, 3)[0])
+            assert "".join(map(str, bits[mode])) == format(tile, "03b")
+            assert bits.sum() == bits[mode].sum()
 
     def test_prefix_is_the_coarser_code(self):
-        # Truncating the bit string must locate the parent tile.
-        for i in range(2**5):
-            bits = binary_code(i, 5)
-            for s in range(1, 5):
-                assert bits[:s] == binary_code(i >> (5 - s), s)
+        # The first 2s labels must locate the parent tiles at depth s;
+        # every depth-5 tile appears on every mode.
+        t = np.arange(32)
+        tiles = np.column_stack([t, t[::-1], 5 * t % 32, 11 * t % 32])
+        fine = quadrants_at(tiles, 5)
+        for s in range(1, 5):
+            coarse = _quadrant_columns((tiles + 0.5) / 32, s)
+            np.testing.assert_array_equal(fine[:, : 2 * s], coarse)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            binary_code(8, 3)
-        with pytest.raises(ValueError):
-            binary_code(-1, 3)
-        with pytest.raises(ValueError):
-            binary_code(0, 0)
-        with pytest.raises(ValueError):
-            decode_binary_code((0, 2))
+        for node, scales in ((16, 2), (-1, 2), (1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                node_tile(node, scales)
+        assert node_tile(0, 0) == (0, 0)
+        for labels in ([[0, 5]], [[-1]], [[1.5]], [[np.nan]]):
+            with pytest.raises(ValueError, match="quadrant labels"):
+                chain_index(labels)
+        with pytest.raises(ValueError, match=">= 1"):
+            build_tensor(table_from(["m1,a,90,10,10,80,60"]), 0)
 
 
 class TestEncodeEvent:
     def test_worked_example(self):
-        m = encode_event((1, 6, 4, 3), 3)
+        # Tiles (1, 6, 4, 3) at depth 3.
         np.testing.assert_array_equal(
-            m,
+            tile_bits(quadrants_at([1, 6, 4, 3], 3)[0]),
             [
                 [0, 0, 1],
                 [1, 1, 0],
@@ -94,32 +108,29 @@ class TestEncodeEvent:
         )
 
     def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            encode_event((1, 2, 3), 3)
+        with pytest.raises(ValueError, match="n_events, 4"):
+            EventTable((Replicate("m1", "a", 90.0),), [0], [[0.1, 0.2, 0.3]])
 
 
 class TestFolding:
     def test_worked_example_pairs(self):
-        m = encode_event((1, 6, 4, 3), 3)
-        mi = fold_to_multiindex(m, replicate=7)
-        assert mi.pairs == ((3, 2), (3, 3), (2, 3))
-        assert mi.flat() == (3, 2, 3, 3, 2, 3, 7)
+        # The same event as replicate 7's tensor entry, labels 1-based.
+        replicates = tuple(Replicate(f"m{r}", "a", 90.0) for r in range(8))
+        coords = (np.array([[1, 6, 4, 3]]) + 0.5) / 8
+        (entry,) = build_tensor(EventTable(replicates, [7], coords), 3).indices
+        pairs = tuple(zip(entry[0:6:2] + 1, entry[1:6:2] + 1))
+        assert pairs == ((3, 2), (3, 3), (2, 3))
+        assert entry[-1] == 7
 
     def test_all_sixteen_bit_pairs(self):
-        # quadrant = x + 2 y + 1 over both origin and destination bits.
-        for xo in (0, 1):
-            for yo in (0, 1):
-                for xd in (0, 1):
-                    for yd in (0, 1):
-                        m = np.array([[xo], [yo], [xd], [yd]])
-                        (pair,) = fold_to_multiindex(m, 0).pairs
-                        assert pair == (xo + 2 * yo + 1, xd + 2 * yd + 1)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            fold_to_multiindex(np.full((4, 2), 3), 0)
-        with pytest.raises(ValueError):
-            fold_to_multiindex(np.zeros((3, 2), dtype=int), 0)
+        # quadrant = x + 2 y over both origin and destination bits.
+        bits = np.array(list(itertools.product((0, 1), repeat=4)))
+        np.testing.assert_array_equal(
+            quadrants_at(bits, 1),
+            np.column_stack(
+                [bits[:, 0] + 2 * bits[:, 1], bits[:, 2] + 2 * bits[:, 3]]
+            ),
+        )
 
 
 class TestBuildTensor:
@@ -174,20 +185,17 @@ class TestBuildTensor:
             build_tensor(table_from([]), 2)
 
     def test_agrees_with_scalar_path(self):
-        # The vectorized bit extraction must match encoding events one
-        # at a time through the scalar helpers.
+        # The vectorized bit extraction must match the oracle's labels,
+        # taken one bit and one event at a time.
         rng = np.random.default_rng(5)
         table = random_table(rng, n_events=50)
         scales = 3
         t = build_tensor(table, scales)
         dense = np.zeros(t.shape, dtype=np.int64)
         for k in range(table.n_events):
-            tiles = np.floor(table.coords[k] * 2**scales).astype(int)
-            mi = fold_to_multiindex(
-                encode_event(tiles, scales), int(table.replicate_index[k])
-            )
-            flat = tuple(v - 1 for v in mi.flat()[:-1]) + (mi.replicate,)
-            dense[flat] += 1
+            tiles = np.floor(table.coords[k] * 2**scales)
+            cell = sum(quadrant_labels(tiles, scales), ())
+            dense[cell + (table.replicate_index[k],)] += 1
         np.testing.assert_array_equal(densify(t), dense)
 
 
@@ -295,6 +303,8 @@ class TestAdjacency:
             adjacency_at_scale(t, 0, 3)
         with pytest.raises(ValueError):
             adjacency_at_scale(t, 5, 1)
+        with pytest.raises(ValueError, match="integer"):
+            adjacency_at_scale(t, 0.5, 1)
 
     @pytest.mark.parametrize("shape", NOT_GRIDS)
     def test_non_grid_rejected(self, shape):

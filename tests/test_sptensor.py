@@ -93,6 +93,23 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="range"):
             SparseCountTensor((2, 2), np.array([[0, 2]]), np.array([1]))
 
+    def test_rejects_what_the_int64_cast_changes(self):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            SparseCountTensor((4, 2), [[1.5, 0.9]], [1])
+        with pytest.raises(ValueError, match="counts must be integers"):
+            SparseCountTensor((4, 2), [[1, 0]], [1.7])
+        for bad in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="counts must be integers"):
+                SparseCountTensor.from_entries((4, 2), [[1, 0]], [bad])
+            with pytest.raises(ValueError, match="indices must be integers"):
+                SparseCountTensor.from_entries((4, 2), [[bad, 0]], [1])
+        # Integral floats are exact; int64 input is stored without a copy.
+        t = SparseCountTensor((2, 2), np.zeros((1, 2)), np.ones(1))
+        assert t.indices.dtype == t.counts.dtype == np.int64
+        idx, counts = np.array([[0, 1]]), np.array([2])
+        t = SparseCountTensor((2, 2), idx, counts)
+        assert t.indices is idx and t.counts is counts
+
     def test_rejects_unsorted(self):
         # Out of order in the leading column, then only in a later one.
         for idx in ([[1, 0], [0, 0]], [[0, 1], [0, 0]]):

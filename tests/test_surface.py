@@ -14,13 +14,10 @@ from mrtensor.cli import build_parser
 
 PUBLIC_NAMES = [
     "CpBtdModel", "DissimilarityMatrix", "EventTable", "FieldGeometry",
-    "FitReport", "MultiIndex", "Replicate",
-    "SolverConfig", "SolverError", "SparseCountTensor",
-    "adjacency_at_scale", "binary_code", "bray_curtis", "build_tensor",
-    "chain_index", "decode_binary_code",
-    "dissimilarity_matrix", "effective_rank",
-    "effective_terms", "encode_event", "fit_block_gs",
-    "fold_to_multiindex", "initialize",
+    "FitReport", "Replicate", "SolverConfig", "SolverError",
+    "SparseCountTensor", "adjacency_at_scale", "bray_curtis",
+    "build_tensor", "chain_index", "dissimilarity_matrix",
+    "effective_rank", "effective_terms", "fit_block_gs", "initialize",
     "marginalize_to_scale", "match_motifs",
     "mm_poisson_regression_group", "motif_at_scale",
     "node_tile", "normalize_scores", "objective", "parse_events",

@@ -117,12 +117,14 @@ def match_motifs(fitted, reference) -> list[tuple[int, int, float]]:
     the result lists (fitted position, reference position, cosine) in
     pick order.  Equal similarities pick the lower fitted position,
     then the lower reference position.  An all-zero motif has no
-    direction and raises.
+    direction and raises, as does a motif that is not finite.
     """
     if not (len(fitted) and len(reference)):
         return []
     f = np.array([np.ravel(m) for m in fitted], dtype=np.float64)
     r = np.array([np.ravel(m) for m in reference], dtype=np.float64)
+    if not (np.isfinite(f).all() and np.isfinite(r).all()):
+        raise ValueError("motifs must be finite")
     norms_f, norms_r = np.linalg.norm(f, axis=1), np.linalg.norm(r, axis=1)
     if not (norms_f.all() and norms_r.all()):
         raise ValueError("cosine similarity of a zero vector is undefined")
@@ -193,9 +195,7 @@ def simulate(
 
 def write_motif_csv(matrix: np.ndarray, path) -> None:
     """Plain CSV of one origin x destination motif matrix."""
-    with open(path, "w") as handle:
-        for row in np.asarray(matrix):
-            handle.write(",".join(format(v, ".17g") for v in row) + "\n")
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
 
 
 def write_motif_svg(matrix: np.ndarray, path, top_edges: int = 20) -> int:

@@ -35,6 +35,8 @@ def _grid_depth(sizes, scale: int | None = None) -> int:
     if not sizes or len(sizes) % 2 or any(n != 4 for n in sizes):
         raise ValueError(f"modes {sizes} are not quadrant pairs of size 4")
     depth = len(sizes) // 2
+    if scale is not None and not isinstance(scale, (int, np.integer)):
+        raise ValueError(f"scale {scale!r} is not an integer")
     if scale is not None and not 1 <= scale <= depth:
         raise ValueError(f"scale {scale} out of range [1, {depth}]")
     return depth
@@ -55,6 +57,8 @@ def _quadrant_columns(coords: np.ndarray, scales: int) -> np.ndarray:
 
     Columns alternate origin, destination from scale 1 to ``scales``.
     """
+    if not isinstance(scales, (int, np.integer)):
+        raise ValueError(f"scales {scales!r} is not an integer")
     # Tile indices floor(c * 2**scales) must fit in int64.
     if not 1 <= scales <= 63:
         raise ValueError("scales must be >= 1 and <= 63")
@@ -118,6 +122,8 @@ def chain_index(quadrants: np.ndarray) -> np.ndarray:
 
 def node_tile(node: int, scales: int) -> tuple[int, int]:
     """(x, y) tile of a 0-based chained node index on the 2**s grid."""
+    if not all(isinstance(v, (int, np.integer)) for v in (node, scales)):
+        raise ValueError(f"node {node!r} and scale {scales!r} need integers")
     if scales < 0 or not 0 <= node < 4**scales:
         raise ValueError(f"node {node} out of range for scale {scales}")
     tx = ty = 0

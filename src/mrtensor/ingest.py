@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sptensor import _int64
+
 _COLUMNS = ("replicate_id", "team", "minutes", "x_o", "y_o", "x_d", "y_d")
 # One parsed row: the two labels as str, the five numbers as float.
 _ROW = np.dtype([(c, object if k < 2 else np.float64)
@@ -77,22 +79,18 @@ class EventTable:
     coords: np.ndarray
 
     def __post_init__(self):
-        self.replicate_index = np.asarray(self.replicate_index, dtype=np.int64)
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        if self.coords.ndim != 2 or self.coords.shape[1] != 4:
+        idx = _int64(self.replicate_index, "replicate indices")
+        coords = np.asarray(self.coords, dtype=np.float64)
+        self.replicate_index, self.coords = idx, coords
+        if coords.ndim != 2 or coords.shape[1] != 4:
             raise ValueError("coords must be (n_events, 4)")
-        if self.replicate_index.shape != (self.coords.shape[0],):
+        if idx.shape != (coords.shape[0],):
             raise ValueError("replicate_index length must match coords")
-        if self.coords.size and not np.isfinite(self.coords).all():
+        if not np.isfinite(coords).all():
             raise ValueError("coordinates must be finite")
-        if self.coords.size and (
-            self.coords.min() < 0.0 or self.coords.max() >= 1.0
-        ):
+        if coords.min(initial=0.0) < 0.0 or coords.max(initial=0.0) >= 1.0:
             raise ValueError("standardized coordinates must lie in [0, 1)")
-        n = len(self.replicates)
-        if self.replicate_index.size and (
-            self.replicate_index.min() < 0 or self.replicate_index.max() >= n
-        ):
+        if idx.min(initial=0) < 0 or idx.max(initial=-1) >= self.n_replicates:
             raise ValueError("event references an unknown replicate")
         for rep in self.replicates:
             if not (rep.minutes > 0 and math.isfinite(rep.minutes)):

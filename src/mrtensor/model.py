@@ -64,14 +64,14 @@ class CpBtdModel:
         for f in self.factors:
             if f.ndim != 2 or f.shape[1] != total:
                 raise ValueError("factor width must equal the total rank")
-            if f.size and (not np.isfinite(f).all() or f.min() < 0):
+            if not np.isfinite(f).all() or f.min(initial=0) < 0:
                 raise ValueError("factors must be finite and nonnegative")
         if self.omega.shape != (total,):
             raise ValueError("omega must be flat with one entry per component")
         if self.upsilon.ndim != 2 or self.upsilon.shape[0] != len(self.ranks):
             raise ValueError("upsilon must be H x N")
         for arr in (self.omega, self.upsilon):
-            if not np.isfinite(arr).all() or (arr.size and arr.min() < 0):
+            if not np.isfinite(arr).all() or arr.min(initial=0) < 0:
                 raise ValueError("weights and scores must be finite, >= 0")
 
     # -- structure ---------------------------------------------------------
@@ -213,41 +213,29 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     return linear - float(tensor.counts @ np.log(lam))
 
 
+def _sections(sizes, ranks, n_rep):
+    """(title, line widths) of each model-file section, in file order.
+    Widths are generated, so a claimed count costs nothing unread."""
+    def lines(width, count):
+        return (width for _ in range(count))
+
+    return [(f"phi {p}", lines(size, sum(ranks)))
+            for p, size in enumerate(sizes, start=1)] + [
+        ("omega", ranks), ("upsilon", lines(len(ranks), n_rep))]
+
+
 def write_model(model: CpBtdModel, path) -> None:
     """Write the ``cpbtd v1`` text form (column-major sections)."""
-    def lines(widths, values):
-        # One line of numbers per width, in one formatting pass.
-        fmt = "".join(" ".join(["%.17g"] * w) + "\n" for w in widths)
-        return fmt % tuple(values.tolist())
-
+    sizes = ",".join(map(str, model.mode_sizes))
+    ranks = ",".join(map(str, model.ranks))
+    values = [*(phi.T for phi in model.factors), model.omega, model.upsilon.T]
+    sections = _sections(model.mode_sizes, model.ranks, model.n_replicates)
     with open(path, "w") as handle:
-        handle.write(f"{MODEL_HEADER}\n")
-        sizes = ",".join(str(s) for s in model.mode_sizes)
-        ranks = ",".join(str(r) for r in model.ranks)
-        handle.write(
-            f"P={model.n_modes} I={sizes} H={model.n_terms} "
-            f"R={ranks} N={model.n_replicates}\n"
-        )
-        for p, phi in enumerate(model.factors, start=1):
-            handle.write(f"phi {p}\n")
-            handle.write(lines([len(phi)] * model.total_rank, phi.T.ravel()))
-        handle.write("omega\n")
-        handle.write(lines(model.ranks, model.omega))
-        handle.write("upsilon\n")
-        handle.write(lines([model.n_terms] * model.n_replicates,
-                           model.upsilon.T.ravel()))
-
-
-def _read_floats(handle, expected, label):
-    line = handle.readline()
-    if not line:
-        raise ValueError(f"truncated model file inside {label}")
-    values = np.array([float(v) for v in line.split()])
-    if len(values) != expected:
-        raise ValueError(
-            f"{label}: expected {expected} values, found {len(values)}"
-        )
-    return values
+        handle.write(f"{MODEL_HEADER}\nP={model.n_modes} I={sizes} "
+                     f"H={model.n_terms} R={ranks} N={model.n_replicates}\n")
+        for (title, widths), arr in zip(sections, values):
+            fmt = "".join(" ".join(["%.17g"] * w) + "\n" for w in widths)
+            handle.write(f"{title}\n" + fmt % tuple(arr.ravel().tolist()))
 
 
 def read_model(path) -> CpBtdModel:
@@ -265,28 +253,26 @@ def read_model(path) -> CpBtdModel:
             n_rep = int(parsed["N"])
         except (KeyError, ValueError):
             raise ValueError("malformed model metadata line") from None
-        if len(sizes) != n_modes or len(ranks) != n_terms:
+        if (len(sizes) != n_modes or len(ranks) != n_terms
+                or min(*sizes, *ranks, n_rep) < 0):
             raise ValueError("model metadata is inconsistent")
-        total = sum(ranks)
-        factors = []
-        for p in range(1, n_modes + 1):
-            if handle.readline().split() != ["phi", str(p)]:
-                raise ValueError(f"expected section 'phi {p}'")
-            cols = [
-                _read_floats(handle, sizes[p - 1], f"phi {p}")
-                for _ in range(total)
-            ]
-            factors.append(np.column_stack(cols))
-        if handle.readline().strip() != "omega":
-            raise ValueError("expected section 'omega'")
-        omega = np.concatenate(
-            [_read_floats(handle, r, "omega") for r in ranks]
-        )
-        if handle.readline().strip() != "upsilon":
-            raise ValueError("expected section 'upsilon'")
-        ups = np.column_stack(
-            [_read_floats(handle, n_terms, "upsilon") for _ in range(n_rep)]
-        ) if n_rep else np.empty((n_terms, 0))
+        sections = []
+        for title, widths in _sections(sizes, ranks, n_rep):
+            if handle.readline().split() != title.split():
+                raise ValueError(f"expected section '{title}'")
+            values = []
+            for width in widths:
+                line = handle.readline()
+                if not line:
+                    raise ValueError(f"truncated model file inside {title}")
+                row = [float(v) for v in line.split()]
+                if len(row) != width:
+                    raise ValueError(f"{title}: expected {width} values, "
+                                     f"found {len(row)}")
+                values += row
+            sections.append(np.array(values, dtype=np.float64))
         if handle.readline():
             raise ValueError("trailing content after upsilon section")
-    return CpBtdModel(ranks, factors, omega, ups)
+    *phis, omega, ups = sections
+    factors = [v.reshape(sum(ranks), size).T for v, size in zip(phis, sizes)]
+    return CpBtdModel(ranks, factors, omega, ups.reshape(n_rep, n_terms).T)

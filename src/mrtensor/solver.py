@@ -50,6 +50,8 @@ from .sptensor import SparseCountTensor, _row_blocks, factor_rows
 # column is frozen and excluded from renormalization.
 DEAD_FLOOR = 1e-300
 
+REPORT_HEADER = "outer_iter,objective,inner_iters_total,effective_H"
+
 
 @dataclass
 class SolverConfig:
@@ -145,10 +147,9 @@ class FitReport:
 def write_report(report: FitReport, path) -> None:
     """Trace CSV: one row per outer iteration, row 0 the initialization."""
     with open(path, "w") as handle:
-        handle.write("outer_iter,objective,inner_iters_total,effective_H\n")
-        rows = zip(
-            report.objective, report.inner_iterations, report.effective_terms
-        )
+        handle.write(f"{REPORT_HEADER}\n")
+        rows = zip(report.objective, report.inner_iterations,
+                   report.effective_terms)
         for k, (obj, inner, eff) in enumerate(rows):
             handle.write(f"{k},{obj:.17g},{inner},{eff}\n")
 
@@ -156,8 +157,7 @@ def write_report(report: FitReport, path) -> None:
 def read_report(path) -> FitReport:
     """Read a trace CSV; stop_reason "unknown", duration NaN."""
     with open(path, "r") as handle:
-        header = handle.readline().strip()
-        if header != "outer_iter,objective,inner_iters_total,effective_H":
+        if handle.readline().strip() != REPORT_HEADER:
             raise ValueError("not a fit report CSV")
         obj, inner, eff = [], [], []
         for k, line in enumerate(handle):
@@ -220,7 +220,7 @@ def mm_poisson_regression_group(
     B = np.asarray(start, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError("start must be (K, n_columns) matching the data")
-    if not np.isfinite(B).all() or (B.size and B.min() < 0):
+    if not np.isfinite(B).all() or B.min(initial=0) < 0:
         raise ValueError("start must be finite and nonnegative")
     design = np.ascontiguousarray(design, dtype=np.float64)
     x = np.asarray(counts, dtype=np.float64)

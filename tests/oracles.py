@@ -340,6 +340,13 @@ def write_model_per_value(model, path):
             handle.write(fmt(model.upsilon[:, n]) + "\n")
 
 
+def write_motif_csv_per_value(matrix, path):
+    """A motif CSV written one formatted value at a time."""
+    with open(path, "w") as handle:
+        for row in np.asarray(matrix):
+            handle.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
 def motif_by_kron(model, term: int, scale: int):
     """A term's origin x destination matrix at a scale, one component
     at a time: Kronecker products of its per-scale profiles, coarsest

@@ -107,6 +107,10 @@ class TestDissimilarityMatrix:
         with pytest.raises(ValueError, match="scales must be >= 1"):
             dissimilarity_matrix(clustered_table(), 0)
 
+    def test_non_integer_scale_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            dissimilarity_matrix(clustered_table(), 2.0)
+
     @pytest.mark.parametrize("factor", [0.5, 3.0, 1e3])
     def test_common_minutes_factor_cancels(self, factor):
         # Bray-Curtis is blind to a factor shared by both networks, so
@@ -213,6 +217,12 @@ class TestMotifRanking:
             match_motifs([[0, 0]], [[1, 0]])
         with pytest.raises(ValueError, match="zero vector"):
             match_motifs([[1, 0]], [[1, 0], [0, 0]])
+
+    def test_non_finite_motif_rejected(self):
+        for fitted, reference in (([[np.inf, 1.0]], [[1.0, 0.0]]),
+                                  ([[1.0, 0.0]], [[np.nan, 1.0]])):
+            with pytest.raises(ValueError, match="motifs must be finite"):
+                match_motifs(fitted, reference)
 
     def test_greedy_matching(self):
         fitted = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]

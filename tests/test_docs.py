@@ -80,7 +80,8 @@ def test_demo_runs(tmp_path, demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning",
-         "-W", "error::DeprecationWarning", str(demo)],
+         "-W", "error::DeprecationWarning", "-W", "error::UserWarning",
+         str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -94,6 +94,23 @@ class TestBinaryCode:
             build_tensor(table_from(["m1,a,90,10,10,80,60"]), 0)
 
 
+    def test_non_integer_scale_or_node(self):
+        table = table_from(["m1,a,90,10,10,80,60"])
+        t = build_tensor(table, 2)
+        calls = [
+            lambda: build_tensor(table, 2.0),
+            lambda: marginalize_to_scale(t, 1.0),
+            lambda: adjacency_at_scale(t, 0, 1.0),
+            lambda: node_tile(1.0, 1),
+            lambda: node_tile(1, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="integer"):
+                call()
+        assert build_tensor(table, np.int64(2)).shape == t.shape
+        assert node_tile(np.int64(6), np.int64(2)) == (2, 1)
+
+
 class TestEncodeEvent:
     def test_worked_example(self):
         # Tiles (1, 6, 4, 3) at depth 3.

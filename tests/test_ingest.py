@@ -239,6 +239,17 @@ class TestValidation:
                 np.array([[0.1, 0.2, 1.0, 0.3]]),
             )
 
+    def test_table_rejects_fractional_replicate_index(self):
+        reps = (Replicate("m1", "a", 90.0), Replicate("m2", "b", 90.0))
+        coords = [[0.1] * 4, [0.2] * 4]
+        with pytest.raises(ValueError, match="replicate indices must be"):
+            EventTable(reps, [0.9, 1.5], coords)
+        # Integral values pass, and int64 input is kept without a copy.
+        table = EventTable(reps, [1.0, 0.0], coords)
+        assert table.replicate_index.tolist() == [1, 0]
+        index = np.array([0, 1], dtype=np.int64)
+        assert EventTable(reps, index, coords).replicate_index is index
+
     def test_table_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
             EventTable(

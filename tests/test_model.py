@@ -155,6 +155,8 @@ class TestMotifs:
         for s in (0, 3):
             with pytest.raises(ValueError, match="out of range"):
                 motif_at_scale(m, 0, s)
+        with pytest.raises(ValueError, match="not an integer"):
+            motif_at_scale(m, 0, 1.0)
 
     @pytest.mark.parametrize("sizes", [(3, 3), (8, 8)])
     def test_non_grid_modes_rejected(self, sizes):

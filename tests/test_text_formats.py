@@ -1,5 +1,5 @@
-"""Fuzzed text for the model, report and rates readers, and round trips
-through their writers.
+"""Fuzzed text for the model, report and rates readers, round trips
+through their writers, and the array writers against per-value ones.
 
 Each reader either returns a value or raises ValueError or OSError,
 which the CLI turns into exit code 2; any other exception is a bug.
@@ -11,12 +11,14 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrtensor.analysis import write_motif_csv
 from mrtensor.cli import _read_rates
 from mrtensor.model import CpBtdModel, read_model, write_model
 from mrtensor.solver import FitReport, read_report, write_report
-from oracles import write_model_per_value
+from oracles import write_model_per_value, write_motif_csv_per_value
 
 # Pieces that the readers look for or that a number parser trips on.
 TOKENS = [
@@ -65,6 +67,10 @@ def written(writer, value):
 
 WEIGHTS = st.one_of(
     st.floats(0.0, 1e300, allow_nan=False), st.sampled_from([0.0, 5e-324]))
+# Weights plus every other %.17g spelling: NaN, infinities, signed zero,
+# subnormals and a value that needs all 17 digits.
+SPELLINGS = st.one_of(WEIGHTS, st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, -5e-324, 1e-310, 0.1]))
 
 
 @st.composite
@@ -115,13 +121,52 @@ class TestModelText:
     def test_writer_matches_per_value_writer(self, model, data):
         # The writer does not validate, so values no model admits are
         # planted after construction to reach every %.17g spelling.
-        value = st.one_of(WEIGHTS, st.sampled_from(
-            [math.nan, math.inf, -math.inf, -0.0, -5e-324, 1e-310, 0.1]))
         for arr in [*model.factors, model.omega, model.upsilon]:
             arr[...] = np.reshape(data.draw(st.lists(
-                value, min_size=arr.size, max_size=arr.size)), arr.shape)
+                SPELLINGS, min_size=arr.size, max_size=arr.size)), arr.shape)
         assert written(write_model, model) == written(
             write_model_per_value, model)
+
+    def test_negative_count_rejected(self, tmp_path):
+        # Reshaping to the claimed sizes, not to -1, keeps N=-1 with an
+        # empty upsilon section from reading as zero replicates.
+        head = MODEL_TEXT[: MODEL_TEXT.index("upsilon\n") + len("upsilon\n")]
+        path = tmp_path / "m.txt"
+        for old, new in (("N=2", "N=-1"), ("I=2,4", "I=-2,4")):
+            path.write_text(head.replace(old, new))
+            with pytest.raises(ValueError, match="metadata is inconsistent"):
+                read_model(path)
+
+    def test_empty_mode_reads_as_an_empty_factor(self):
+        text = ("cpbtd v1\nP=2 I=0,2 H=1 R=2 N=1\nphi 1\n\n\nphi 2\n"
+                "0.5 0.5\n0.5 0.5\nomega\n0.5 0.5\nupsilon\n3\n")
+        model = read_text(read_model, text)
+        assert model.factors[0].shape == (0, 2)
+        assert written(write_model, model) == text
+
+    def test_huge_claimed_counts_cost_nothing_unread(self, tmp_path):
+        # 10**30 claimed lines are generated one at a time, so the file
+        # runs out of lines long before memory runs out of widths.
+        huge, path = "9" * 30, tmp_path / "m.txt"
+        for old, new, message in (
+            ("N=2", f"N={huge}", "truncated model file inside upsilon"),
+            ("R=2,1", f"R=2,{huge}", "could not convert string"),
+        ):
+            path.write_text(MODEL_TEXT.replace(old, new))
+            with pytest.raises(ValueError, match=message):
+                read_model(path)
+
+
+class TestMotifCsv:
+    @FUZZ
+    @given(st.integers(0, 5), st.integers(0, 5), st.data())
+    def test_writer_matches_per_value_writer(self, rows, cols, data):
+        cells = data.draw(st.lists(st.one_of(SPELLINGS, st.floats()),
+                                   min_size=rows * cols,
+                                   max_size=rows * cols))
+        matrix = np.reshape(np.array(cells, dtype=np.float64), (rows, cols))
+        assert written(write_motif_csv, matrix) == written(
+            write_motif_csv_per_value, matrix)
 
 
 class TestReportText:

@@ -125,9 +125,12 @@ def match_motifs(fitted, reference) -> list[tuple[int, int, float]]:
     r = np.array([np.ravel(m) for m in reference], dtype=np.float64)
     if not (np.isfinite(f).all() and np.isfinite(r).all()):
         raise ValueError("motifs must be finite")
-    norms_f, norms_r = np.linalg.norm(f, axis=1), np.linalg.norm(r, axis=1)
-    if not (norms_f.all() and norms_r.all()):
+    # Scaled to a largest entry of 1, no row's norm overflows or underflows.
+    peak_f, peak_r = (np.abs(m).max(axis=1, initial=0) for m in (f, r))
+    if not (peak_f.all() and peak_r.all()):
         raise ValueError("cosine similarity of a zero vector is undefined")
+    f, r = f / peak_f[:, None], r / peak_r[:, None]
+    norms_f, norms_r = np.linalg.norm(f, axis=1), np.linalg.norm(r, axis=1)
     sims = (f @ r.T) / np.outer(norms_f, norms_r)
     out: list[tuple[int, int, float]] = []
     for _ in range(min(sims.shape)):

@@ -14,9 +14,9 @@ contribution and gives the closed-form sweep
 The objective only involves observations with positive counts, every
 sweep keeps the iterate nonnegative, and with a column-stochastic
 design the coefficient total is conserved at sum(x) on every sweep.
-Each column's rows form one contiguous span of the stacked design, and
-a sweep visits the spans in turn: one BLAS matrix-vector product (gemv)
-per span gives its intensities, and one more gives its numerator.
+Each column's rows form one contiguous span of the stacked design; a
+sweep reads it once in cache-sized blocks of spans or span pieces, with
+one BLAS gemv per span or piece for intensities and one for numerators.
 
 Group shrinkage augments the objective with beta * sum_k log(group_k
 sum + epsilon), a concave log-sum penalty.  Majorizing the logs by
@@ -44,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CpBtdModel, effective_terms, objective
-from .sptensor import SparseCountTensor, _row_blocks, factor_rows
+from .sptensor import SparseCountTensor, _block_rows, _row_blocks, factor_rows
 
-# Component mass at or below this is treated as numerically dead: the
-# column is frozen and excluded from renormalization.
+# Dead: the inner solver zeroes coefficients at or below this, and a
+# component with no mass left is frozen and excluded from renormalization.
 DEAD_FLOOR = 1e-300
 
 REPORT_HEADER = "outer_iter,objective,inner_iters_total,effective_H"
@@ -204,8 +204,8 @@ def mm_poisson_regression_group(
         data; its coefficients decay to zero.
     start : (K, n_columns) nonnegative array
         Initial coefficients; zero entries stay zero (the update is
-        multiplicative), which is how inactive components are kept
-        frozen across calls.
+        multiplicative), which is how dead components stay frozen
+        across calls.
     beta
         Strength of the penalty beta * sum_k log(epsilon + sum_c b[k, c]),
         with the offset ``SolverConfig.epsilon``.
@@ -215,7 +215,9 @@ def mm_poisson_regression_group(
     (B, sweeps): the coefficient matrix and the number of sweeps run.
     Each sweep applies the reweighted multiplicative update to every
     column with the reweighting held at the sweep's starting point; the
-    penalized objective never increases from sweep to sweep.
+    penalized objective never increases from sweep to sweep.  Then
+    coefficients at or below ``DEAD_FLOOR`` become exact zeros; a count
+    whose only support dies fails the next sweep ("zero intensity").
     """
     B = np.asarray(start, dtype=np.float64)
     if B.ndim != 2:
@@ -258,37 +260,51 @@ def mm_poisson_regression_group(
             "segment ids must be sorted integers in [0, n_columns)"
         )
     # The iterate is held transposed, one contiguous row per column, and
-    # updated in place, so each span's views below stay valid across
-    # sweeps and a sweep allocates nothing.
+    # updated in place, so the views below stay valid across sweeps and
+    # a sweep allocates no array per entry.
     bt = np.array(B.T, order="C")
     lam = np.empty(len(x))
     ratio = np.empty(len(x))
     numer = np.zeros_like(bt)
     new, delta, floor = (np.empty_like(bt) for _ in range(3))
-    # One (design rows, iterate row, intensities, ratios, numerator row)
-    # view per column that carries rows; its rows are contiguous.
+    # Row blocks of at most `step` rows: a run of whole spans, or one
+    # piece of a longer span; a split span sums its pieces' numerators.
+    step = _block_rows(bt.shape[1])
     first = np.flatnonzero(np.diff(segment, prepend=-1))
     ends = first[1:].tolist() + [len(segment)]
-    spans = [
-        (design[s:e], bt[c], lam[s:e], ratio[s:e], numer[c])
-        for c, s, e in zip(segment[first].tolist(), first.tolist(), ends)
-    ]
+    blocks, splits = [], []
+    for c, s, e in zip(segment[first].tolist(), first.tolist(), ends):
+        own = numer[c:c + 1]
+        if e - s > step:
+            own = np.empty((-(-(e - s) // step), bt.shape[1]))
+            splits.append((own, numer[c]))
+        for q, out in zip(range(s, e, step), own):
+            r = min(q + step, e)
+            if not blocks or r - blocks[-1][0] > step:
+                blocks.append([q, r, []])
+            blocks[-1][1] = r
+            blocks[-1][2].append(
+                (design[q:r], bt[c], lam[q:r], ratio[q:r], out))
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        for rows, b, lam_c, _, _ in spans:
-            np.matmul(rows, b, out=lam_c)
-        if (lam <= 0).any():
-            raise ValueError(
-                "zero intensity at a positive count; the iterate "
-                "cannot support the data"
-            )
-        np.divide(x, lam, out=ratio)
-        for rows, _, _, ratio_c, numer_c in spans:
-            np.matmul(ratio_c, rows, out=numer_c)
+        for s, e, views in blocks:
+            for rows, b, lam_c, _, _ in views:
+                np.matmul(rows, b, out=lam_c)
+            if lam[s:e].min() <= 0:
+                raise ValueError(
+                    "zero intensity at a positive count; the iterate "
+                    "cannot support the data"
+                )
+            np.divide(x[s:e], lam[s:e], out=ratio[s:e])
+            for rows, _, _, ratio_c, out in views:
+                np.matmul(ratio_c, rows, out=out)
+        for own, out in splits:
+            own.sum(axis=0, out=out)
         np.multiply(bt, numer, out=new)
         new *= 1.0 / (1.0 + beta / (SolverConfig.epsilon + bt.sum(0)))
         np.abs(np.subtract(new, bt, out=delta), out=delta)
         delta /= np.maximum(bt, 1e-30, out=floor)
+        new[new <= DEAD_FLOOR] = 0.0
         bt[...] = new
         if delta.max(initial=0) < tol:
             break

@@ -210,8 +210,13 @@ def factor_rows(
     return out
 
 
+def _block_rows(width: int) -> int:
+    """Rows per row block: _BLOCK_ELEMENTS // width, one at least."""
+    return max(1, _BLOCK_ELEMENTS // max(1, width))
+
+
 def _row_blocks(n_rows: int, width: int):
-    """Consecutive slices over n_rows rows, each of _BLOCK_ELEMENTS //
-    width rows (one at least) but the last, which may be shorter."""
-    step = max(1, _BLOCK_ELEMENTS // width)
+    """Consecutive slices over n_rows rows, each of _block_rows(width)
+    rows but the last, which may be shorter."""
+    step = _block_rows(width)
     return (slice(s, s + step) for s in range(0, n_rows, step))

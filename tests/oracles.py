@@ -119,13 +119,15 @@ def random_segmented_instance(rng, n_columns=5, max_rows=6, k=3):
 
 
 def mm_sweeps_per_span(design, counts, segment, start, beta=0.0,
-                       epsilon=1e-8, tol=1e-6, max_iter=250):
+                       epsilon=1e-8, tol=1e-6, max_iter=250,
+                       dead_floor=1e-300):
     """The grouped multiplicative solver, one span and one sweep at a time.
 
     Same arguments and result as ``mm_poisson_regression_group`` on
     valid input, without its checks: each sweep evaluates every span's
     intensities by a matrix-vector product, its numerator by a weighted
-    row sum, and allocates a fresh iterate.
+    row sum, and allocates a fresh iterate, whose entries at or below
+    ``dead_floor`` become exact zeros (``dead_floor=0`` keeps them).
     """
     B = np.array(start, dtype=np.float64)
     design = np.asarray(design, dtype=np.float64)
@@ -148,6 +150,7 @@ def mm_sweeps_per_span(design, counts, segment, start, beta=0.0,
         if beta > 0:
             new *= (1.0 / (1.0 + beta / (epsilon + B.sum(axis=1))))[:, None]
         delta = np.abs(new - B) / np.maximum(np.abs(B), 1e-30)
+        new[new <= dead_floor] = 0.0
         B = new
         if not delta.size or delta.max() < tol:
             break

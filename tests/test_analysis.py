@@ -224,6 +224,18 @@ class TestMotifRanking:
             with pytest.raises(ValueError, match="motifs must be finite"):
                 match_motifs(fitted, reference)
 
+    def test_scale_free_at_the_ends_of_the_float_range(self):
+        # Squaring 1e200 overflows and squaring 1e-200 underflows; the
+        # cosine of each pair is still exactly that of [1, 0] with itself.
+        for big in (np.array([1e200, 1.0]), np.array([1e-200, 0.0]),
+                    np.array([5e-324, 0.0])):
+            assert match_motifs([big], [np.array([1.0, 0.0])]) == [(0, 0, 1.0)]
+            assert match_motifs([np.array([2.0, 0.0])], [big]) == [(0, 0, 1.0)]
+
+    def test_empty_motif_is_a_zero_vector(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            match_motifs([np.empty(0)], [np.empty(0)])
+
     def test_greedy_matching(self):
         fitted = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         reference = [np.array([0.05, 0.95]), np.array([0.9, 0.1])]

@@ -4,7 +4,9 @@
 block at a time.  They must reproduce the one-shot expressions of
 ``oracles`` bit for bit whatever the block size, and their traced
 allocations must stay near one design (no nnz x H array for the
-objective).  numpy reports its data buffers to ``tracemalloc``.
+objective).  The inner solver walks a given design in row blocks and
+adds only per-entry vectors to it.  numpy reports its data buffers to
+``tracemalloc``.
 """
 
 import tracemalloc
@@ -14,7 +16,7 @@ import pytest
 
 from mrtensor import sptensor
 from mrtensor.model import CpBtdModel, objective
-from mrtensor.solver import block_design
+from mrtensor.solver import block_design, mm_poisson_regression_group
 from mrtensor.sptensor import SparseCountTensor
 from oracles import block_design_one_shot, intensities_one_shot
 
@@ -114,6 +116,16 @@ class TestMemory:
             (design, *_), peak = traced_peak(
                 lambda: block_design(model, tensor, mode))
             assert peak <= 1.25 * design.nbytes + cell_rows, (mode, peak)
+
+    def test_solve_adds_vectors_not_a_design(self):
+        # Every block's design is 10 (scores) or 40 (modes) nnz-long
+        # float64 vectors wide; the solve's own scratch is a few of them.
+        model, tensor = dense_case()
+        for mode in range(tensor.ndim):
+            instance = block_design(model, tensor, mode)
+            _, peak = traced_peak(lambda: mm_poisson_regression_group(
+                *instance, beta=1.0, max_iter=3))
+            assert peak <= 8 * tensor.nnz * 8, (mode, peak)
 
     def test_objective_builds_no_entry_by_term_array(self):
         model, tensor = dense_case()

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from mrtensor.solver import SolverConfig, mm_poisson_regression_group
+from mrtensor import sptensor
+from mrtensor.solver import (
+    DEAD_FLOOR,
+    SolverConfig,
+    SolverError,
+    fit_block_gs,
+    mm_poisson_regression_group,
+)
+from mrtensor.sptensor import SparseCountTensor
 
 from oracles import (
     grid_minimize_poisson,
@@ -232,6 +240,86 @@ class TestAgainstSpanOracle:
             want, want_sweeps = mm_sweeps_per_span(*instance, beta=beta)
             assert sweeps == want_sweeps
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    # 4 elements: one row per block, so every span of more than one row
+    # is split.  13 elements: blocks of 3 rows, runs of short spans next
+    # to split ones.
+    @pytest.mark.parametrize("budget", [4, 13])
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_split_spans(self, monkeypatch, budget, beta):
+        monkeypatch.setattr(sptensor, "_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            instance = random_segmented_instance(rng, 6, max_rows=12, k=4)
+            got, sweeps = mm_poisson_regression_group(
+                *instance, beta=beta, tol=1e-300, max_iter=30
+            )
+            want, want_sweeps = mm_sweeps_per_span(
+                *instance, beta=beta, tol=1e-300, max_iter=30
+            )
+            assert sweeps == want_sweeps == 30
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestDeadCoefficients:
+    """Dead means exactly zero: every sweep sets the coefficients at or
+    below DEAD_FLOOR to 0.0, which the multiplicative update keeps."""
+
+    def test_no_coefficient_between_zero_and_the_floor(self):
+        # Strong shrinkage drives whole groups to zero; without the rule
+        # some coefficients stop between zero and the floor.
+        rng = np.random.default_rng(80)
+        passed_through = 0
+        for _ in range(10):
+            instance = random_segmented_instance(rng, 6, max_rows=30, k=4)
+            for max_iter in (5, 10, 20, 40):
+                got, _ = mm_poisson_regression_group(
+                    *instance, beta=50.0, tol=1e-300, max_iter=max_iter
+                )
+                assert not ((got > 0) & (got <= DEAD_FLOOR)).any()
+                want, _ = mm_sweeps_per_span(
+                    *instance, beta=50.0, tol=1e-300, max_iter=max_iter
+                )
+                # A collapsing group squares its relative rounding error
+                # every sweep, so only the large coefficients compare
+                # at rtol; the dead ones must match exactly.
+                assert np.array_equal(got == 0, want == 0)
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * want.max())
+                kept, _ = mm_sweeps_per_span(
+                    *instance, beta=50.0, tol=1e-300, max_iter=max_iter,
+                    dead_floor=0.0,
+                )
+                passed_through += ((kept > 0) & (kept <= DEAD_FLOOR)).sum()
+        assert passed_through > 0
+
+    def test_coefficient_below_the_floor_dies_in_one_sweep(self):
+        # The start is not zeroed up front; the first update is.
+        design = np.array([[1.0, 1.0]])
+        start = np.array([[2.0], [1e-305]])
+        B, _ = mm_poisson_regression_group(design, [3.0], [0], start,
+                                           max_iter=1)
+        assert B[0, 0] == pytest.approx(3.0, rel=1e-15) and B[1, 0] == 0.0
+
+    def test_count_whose_support_dies_has_zero_intensity(self):
+        # The one coefficient carrying the count shrinks to about 1e-301
+        # in the first sweep; the second sweep sees an intensity of 0.
+        instance = (np.ones((1, 1)), [1.0], [0], np.array([[1e-10]]))
+        B, _ = mm_poisson_regression_group(*instance, beta=1e293, max_iter=1)
+        assert B[0, 0] == 0.0
+        with pytest.raises(ValueError, match="zero intensity"):
+            mm_poisson_regression_group(*instance, beta=1e293, max_iter=2)
+
+    def test_fit_whose_scores_die_raises_solver_error(self):
+        # Shrinkage this strong kills every usage score in the score
+        # block's first sweep; numerical failure, not bad input.
+        tensor = SparseCountTensor.from_entries(
+            (2, 2, 3), [[0, 0, 0], [1, 1, 1], [0, 1, 2], [1, 0, 2]],
+            [3, 1, 4, 2])
+        config = SolverConfig(n_terms=2, rank=1, beta=1e306 / tensor.nnz,
+                              max_outer=1, max_inner=5)
+        with pytest.raises(SolverError, match="score block: zero intensity"):
+            fit_block_gs(tensor, config)
 
 
 class TestValidation:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .encode import _dense_side, _quadrant_columns, chain_index, node_tile
 from .ingest import EventTable, team_minutes
-from .model import CpBtdModel, RANK_THRESHOLD
+from .model import CpBtdModel, effective_terms
 from .sptensor import SparseCountTensor
 
 SVG_SIZE = (1150.0, 740.0)  # motif diagram width and height, SVG units
@@ -101,11 +101,11 @@ def write_dissimilarity_csv(dissim: DissimilarityMatrix, path) -> None:
 
 
 def rank_motifs(model: CpBtdModel) -> list[tuple[int, float]]:
-    """Active terms by total usage, descending; ties keep the lower term."""
+    """The terms ``effective_terms`` counts as active, by total usage
+    descending; ties keep the lower term."""
     usage = model.term_usage()
-    active = [(h, float(usage[h])) for h in range(model.n_terms)
-              if usage[h] > RANK_THRESHOLD]
-    return sorted(active, key=lambda item: (-item[1], item[0]))
+    top = np.argsort(-usage, kind="stable")[: effective_terms(model)]
+    return [(int(h), float(usage[h])) for h in top]
 
 
 def match_motifs(fitted, reference) -> list[tuple[int, int, float]]:

@@ -37,9 +37,9 @@ class CpBtdModel:
 
     factors[p] is I_p x R_total with the R_h columns of each term
     contiguous; ``omega`` is the flat R_total mixing vector; ``upsilon``
-    is H x N.  Columns of inactive components may hold stale values and
-    are flagged only through zero weights, never removed, so component
-    indexing is stable across updates.
+    is H x N.  Nothing is removed, so indexing is stable: a dead
+    component (zero ``component_scale``) keeps its last profiles, and a
+    dead term keeps its weights; its zero scores are what mark it.
     """
 
     ranks: tuple[int, ...]
@@ -246,6 +246,8 @@ def read_model(path) -> CpBtdModel:
         meta = handle.readline().split()
         try:
             parsed = dict(f.split("=", 1) for f in meta)
+            if len(meta) != 5:  # so each key read below appears once
+                raise ValueError
             n_modes = int(parsed["P"])
             sizes = [int(v) for v in parsed["I"].split(",")]
             n_terms = int(parsed["H"])

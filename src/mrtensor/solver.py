@@ -46,8 +46,9 @@ import numpy as np
 from .model import CpBtdModel, effective_terms, objective
 from .sptensor import SparseCountTensor, _block_rows, _row_blocks, factor_rows
 
-# Dead: the inner solver zeroes coefficients at or below this, and a
-# component with no mass left is frozen and excluded from renormalization.
+# Dead: the inner solver zeroes coefficients at or below this.  The
+# multiplicative update keeps a zero at zero, so outside the solver a
+# dead component or term is one whose mass is exactly 0.
 DEAD_FLOOR = 1e-300
 
 REPORT_HEADER = "outer_iter,objective,inner_iters_total,effective_H"
@@ -155,7 +156,8 @@ def write_report(report: FitReport, path) -> None:
 
 
 def read_report(path) -> FitReport:
-    """Read a trace CSV; stop_reason "unknown", duration NaN."""
+    """Read a trace CSV; stop_reason "unknown", duration NaN, and
+    rejected_blocks 0, since the file does not store it."""
     with open(path, "r") as handle:
         if handle.readline().strip() != REPORT_HEADER:
             raise ValueError("not a fit report CSV")
@@ -413,26 +415,24 @@ def update_mode(
     masses, then splits A back into a column-stochastic factor, block
     mixing weights, and rescaled usage scores.  The rescale is exact:
     the intensity function after the split equals the one the
-    regression optimized.  Components whose mass hits zero are frozen
-    and their terms' scores zeroed.
+    regression optimized.  A component left at zero mass keeps its last
+    profile; a term left at zero mass (as every zero-usage term is)
+    keeps its mixing weights and gets zero scores.
     """
     if not 0 <= mode < model.n_modes:
         raise ValueError("mode out of range")
     mass_form, sweeps = _solve_block(model, tensor, mode, config)
     a = mass_form.T
     rho = a.sum(axis=0)
-    out = model.copy()
-    active = rho > DEAD_FLOOR
-    out.factors[mode][:, active] = a[:, active] / rho[active]
-    usage = model.term_usage()
     mass = model.term_sums(rho)
-    live = (mass > 0) & (usage > 0)
-    blocks = model.block_of_component()
-    out.omega = np.where(
-        live[blocks], rho / np.where(live, mass, 1.0)[blocks], model.omega
-    )
-    scale = np.where(live, mass / np.where(live, usage, 1.0), 0.0)
-    out.upsilon = model.upsilon * scale[:, None]
+    live = rho > 0
+    term = model.block_of_component()
+    in_live = (mass > 0)[term]
+    out = model.copy()
+    out.factors[mode][:, live] = a[:, live] / rho[live]
+    out.omega[in_live] = rho[in_live] / mass[term[in_live]]
+    out.upsilon *= np.divide(mass, model.term_usage(), where=mass > 0,
+                             out=np.zeros(model.n_terms))[:, None]
     return out, sweeps
 
 
@@ -481,18 +481,15 @@ def fit_block_gs(
     model = initialize(config, tensor.shape, float(tensor.total))
     beta = config.shrinkage_strength(tensor.nnz)
     current = penalized_objective(model, tensor, beta, config.epsilon)
-    trace = [current]
-    inner_trace = [0]
-    eff_trace = [effective_terms(model)]
-    rejected = 0
     if not math.isfinite(current):
-        raise SolverError(
-            "non-finite objective at initialization", model=model
-        )
+        raise SolverError("non-finite objective at initialization",
+                          model=model)
+    report = FitReport([current], [0], [effective_terms(model)], math.nan)
 
-    def report(stop_reason="aborted"):
-        return FitReport(list(trace), list(inner_trace), list(eff_trace),
-                         time.perf_counter() - t0, rejected, stop_reason)
+    def ended(stop_reason="aborted"):
+        report.duration = time.perf_counter() - t0
+        report.stop_reason = stop_reason
+        return report
 
     blocks = [(update_scores, ())]
     blocks += [(update_mode, (p,)) for p in range(model.n_modes)]
@@ -504,32 +501,26 @@ def fit_block_gs(
                 trial, sweeps = update(model, tensor, *args, config)
             except ValueError as exc:
                 block = f"mode {args[0]}" if args else "score"
-                raise SolverError(
-                    f"fit aborted in the {block} block: {exc}",
-                    model=model,
-                    report=report(),
-                ) from exc
+                raise SolverError(f"fit aborted in the {block} block: {exc}",
+                                  model=model, report=ended()) from exc
             inner_total += sweeps
             value = penalized_objective(trial, tensor, beta, config.epsilon)
             if not math.isfinite(value):
-                raise SolverError(
-                    "fit aborted on a non-finite objective",
-                    model=trial,
-                    report=report(),
-                )
+                raise SolverError("fit aborted on a non-finite objective",
+                                  model=trial, report=ended())
             if value <= current:
                 model, current = trial, value
                 accepted += 1
             else:
-                rejected += 1
+                report.rejected_blocks += 1
                 worst = max(worst, value)
-        trace.append(current)
-        inner_trace.append(inner_total)
-        eff_trace.append(effective_terms(model))
+        report.objective.append(current)
+        report.inner_iterations.append(inner_total)
+        report.effective_terms.append(effective_terms(model))
         if not accepted:
             # Trials that miss only by rounding mean a fixed point.
             settled = _settled([current, worst], config.outer_tol)
-            return model, report("converged" if settled else "stalled")
-        if _settled(trace, config.outer_tol):
-            return model, report("converged")
-    return model, report("max_outer")
+            return model, ended("converged" if settled else "stalled")
+        if _settled(report.objective, config.outer_tol):
+            return model, ended("converged")
+    return model, ended("max_outer")

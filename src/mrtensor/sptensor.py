@@ -61,6 +61,8 @@ class SparseCountTensor:
         self.shape = tuple(int(d) for d in self.shape)
         if not self.shape or min(self.shape) <= 0:
             raise ValueError("need one or more modes, all of positive size")
+        if max(self.shape) > np.iinfo(np.int64).max:
+            raise ValueError("mode sizes must fit in int64")
         self.indices = _int64(self.indices, "indices")
         self.counts = _int64(self.counts, "counts")
         if self.indices.ndim != 2 or self.indices.shape[1] != len(self.shape):

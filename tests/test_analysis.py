@@ -16,7 +16,7 @@ from mrtensor.analysis import (
     write_motif_svg,
 )
 from mrtensor.encode import adjacency_at_scale, build_tensor
-from mrtensor.model import CpBtdModel
+from mrtensor.model import CpBtdModel, effective_terms
 from mrtensor.ingest import EventTable, Replicate, parse_events, team_minutes
 
 from oracles import simulate_cells
@@ -207,6 +207,14 @@ class TestMotifRanking:
     def test_tie_keeps_lower_term(self):
         ranked = rank_motifs(self.make_model([3.0, 3.0]))
         assert ranked == [(0, 3.0), (1, 3.0)]
+
+    def test_ranks_the_terms_effective_terms_counts(self):
+        # Usages on both sides of RANK_THRESHOLD (1e-10), which is
+        # itself not active.
+        model = self.make_model([5e-11, 1e-10, 2e-10, 3.0, 0.0, 1e-9])
+        ranked = rank_motifs(model)
+        assert len(ranked) == effective_terms(model) == 3
+        assert [h for h, _ in ranked] == [3, 5, 2]
 
     def test_cosine_basics(self):
         # Matched cosines: parallel motifs score 1, orthogonal ones 0,

@@ -168,6 +168,29 @@ class TestBlockUpdates:
             float(t.total), rel=1e-10
         )
 
+    def test_mode_update_keeps_what_dead_components_hold(self):
+        # Term 0 has a component of weight 0, term 1 is dead (all-zero
+        # scores) but keeps its weights, term 2 is live.  A mode block
+        # leaves every dead column and the dead term's weights as they
+        # were, bit for bit, and the dead term's scores and mass at 0.
+        rng = np.random.default_rng(75)
+        t = random_tensor(rng)
+        cfg = small_config(n_terms=3, rank=(2, 2, 1), max_inner=50)
+        model = initialize(cfg, t.shape, float(t.total))
+        model.omega[:] = [1.0, 0.0, 0.3, 0.7, 1.0]
+        model.upsilon[1] = 0.0
+        dead = [1, 2, 3]
+        for mode in range(2):
+            updated, _ = update_mode(model, t, mode, cfg)
+            for p in range(2):
+                assert np.array_equal(updated.factors[p][:, dead],
+                                      model.factors[p][:, dead])
+            assert np.array_equal(updated.omega[1:4], [0.0, 0.3, 0.7])
+            assert not updated.upsilon[1].any()
+            assert not updated.component_scale()[dead].any()
+            assert (updated.component_scale()[[0, 4]] > 0).all()
+            model = updated
+
     def test_mode_out_of_range(self):
         rng = np.random.default_rng(74)
         t = random_tensor(rng)

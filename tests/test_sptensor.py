@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrtensor.cli import main
 from mrtensor.model import CpBtdModel
 from mrtensor.solver import block_design
 from mrtensor.sptensor import (
@@ -207,6 +208,14 @@ class TestTensorFormat:
         path.write_text(f"{FORMAT_HEADER} modes=2 shape=2,2 nnz=2\n{body}")
         with pytest.raises(ValueError):
             read_tensor(path)
+
+    def test_oversized_mode_rejected(self, tmp_path):
+        # 2**63 does not fit the int64 index arrays: bad input, exit 2.
+        path = tmp_path / "t.txt"
+        path.write_text(f"{FORMAT_HEADER} modes=2 shape=4,{2**63} nnz=0\n")
+        with pytest.raises(ValueError, match="fit in int64"):
+            read_tensor(path)
+        assert main(["fit", str(path), "--out", str(tmp_path / "m")]) == 2
 
     def test_entry_lines_after_nnz_zero_rejected(self, tmp_path):
         path = tmp_path / "t.txt"

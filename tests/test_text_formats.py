@@ -137,6 +137,18 @@ class TestModelText:
             with pytest.raises(ValueError, match="metadata is inconsistent"):
                 read_model(path)
 
+    @pytest.mark.parametrize("meta", [
+        "P=2 I=2,4 H=2 R=2,1 N=2 junk=3",
+        "P=2 I=2,4 H=2 R=2,1 N=2 N=2",
+        "P=2 I=2,4 H=2 R=2,1 N=9 N=2",
+    ], ids=["unknown key", "repeated key", "overridden key"])
+    def test_metadata_needs_the_five_keys_once(self, tmp_path, meta):
+        # The same rule read_tensor applies to its header.
+        path = tmp_path / "m.txt"
+        path.write_text(MODEL_TEXT.replace("P=2 I=2,4 H=2 R=2,1 N=2", meta))
+        with pytest.raises(ValueError, match="malformed model metadata"):
+            read_model(path)
+
     def test_empty_mode_reads_as_an_empty_factor(self):
         text = ("cpbtd v1\nP=2 I=0,2 H=1 R=2 N=1\nphi 1\n\n\nphi 2\n"
                 "0.5 0.5\n0.5 0.5\nomega\n0.5 0.5\nupsilon\n3\n")

@@ -8,6 +8,7 @@ superposition sampler that draws synthetic event tensors from a model.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +92,13 @@ def dissimilarity_matrix(table: EventTable, scale: int) -> DissimilarityMatrix:
 
 
 def write_dissimilarity_csv(dissim: DissimilarityMatrix, path) -> None:
-    """CSV with a ``team`` header row and one labelled row per team."""
-    with open(path, "w") as handle:
-        handle.write("team," + ",".join(dissim.labels) + "\n")
+    """UTF-8 CSV with a ``team`` header row and one labelled row per
+    team; ``csv`` quotes each label the way ``parse_events`` reads it."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        table = csv.writer(handle, lineterminator="\n")
+        table.writerow(["team", *dissim.labels])
         for label, row in zip(dissim.labels, dissim.values):
-            handle.write(
-                label + "," + ",".join(format(v, ".17g") for v in row) + "\n"
-            )
+            table.writerow([label, *(format(v, ".17g") for v in row)])
 
 
 def rank_motifs(model: CpBtdModel) -> list[tuple[int, float]]:
@@ -198,7 +199,8 @@ def simulate(
 
 def write_motif_csv(matrix: np.ndarray, path) -> None:
     """Plain CSV of one origin x destination motif matrix."""
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
+    with open(path, "w", encoding="utf-8") as handle:
+        np.savetxt(handle, matrix, fmt="%.17g", delimiter=",")
 
 
 def write_motif_svg(matrix: np.ndarray, path, top_edges: int = 20) -> int:
@@ -269,7 +271,6 @@ def write_motif_svg(matrix: np.ndarray, path, top_edges: int = 20) -> int:
                 f'stroke-width="4" stroke-opacity="{opacity:.4f}" '
                 'marker-end="url(#tip)"/>'
             )
-    lines.append("</svg>")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join([*lines, "</svg>\n"]))
     return len(order)

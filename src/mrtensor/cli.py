@@ -9,6 +9,7 @@ run byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -116,7 +117,7 @@ def cmd_dissim(args) -> int:
 
 
 def _read_rates(path, n_terms):
-    with open(path, "r") as handle:
+    with open(path, encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
         if header[0] != "term":
             raise ValueError("rates CSV must start with a 'term' column")
@@ -154,13 +155,11 @@ def cmd_simulate(args) -> int:
 def cmd_scores(args) -> int:
     fitted = read_model(args.model)
     theta, eta = normalize_scores(fitted)
-    with open(args.out, "w") as handle:
-        labels = [f"n{k + 1}" for k in range(fitted.n_replicates)]
-        handle.write("term," + ",".join(labels) + "\n")
-        for h in range(fitted.n_terms):
-            row = ",".join(format(v, ".17g") for v in theta[h])
-            handle.write(f"{h + 1},{row}\n")
-        handle.write("eta," + ",".join(format(v, ".17g") for v in eta) + "\n")
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        table = csv.writer(handle, lineterminator="\n")
+        table.writerow(["term"] + [f"n{k + 1}" for k in range(len(eta))])
+        for label, row in [*enumerate(theta, start=1), ("eta", eta)]:
+            table.writerow([label, *(format(v, ".17g") for v in row)])
     print(f"terms={fitted.n_terms} replicates={fitted.n_replicates}")
     return 0
 

@@ -144,7 +144,7 @@ def _any_field_size():
 def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     """Parse a pass-event CSV into a standardized EventTable.
 
-    ``source`` is a path or a text file object.  Its header names the
+    ``source`` is a path (UTF-8) or a text file object.  Its header names the
     columns ``replicate_id,team,minutes,x_o,y_o,x_d,y_d`` (physical
     coordinates) in any order; other columns are ignored, and a name
     given twice means its last column.  Fields are comma-separated and
@@ -169,7 +169,7 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     """
     geometry = geometry or FieldGeometry()
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", newline="") as handle:
+        with open(source, encoding="utf-8-sig", newline="") as handle:
             return parse_events(handle, geometry)
 
     try:

@@ -230,7 +230,7 @@ def write_model(model: CpBtdModel, path) -> None:
     ranks = ",".join(map(str, model.ranks))
     values = [*(phi.T for phi in model.factors), model.omega, model.upsilon.T]
     sections = _sections(model.mode_sizes, model.ranks, model.n_replicates)
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{MODEL_HEADER}\nP={model.n_modes} I={sizes} "
                      f"H={model.n_terms} R={ranks} N={model.n_replicates}\n")
         for (title, widths), arr in zip(sections, values):
@@ -240,7 +240,7 @@ def write_model(model: CpBtdModel, path) -> None:
 
 def read_model(path) -> CpBtdModel:
     """Read and validate the ``cpbtd v1`` text form."""
-    with open(path, "r") as handle:
+    with open(path, encoding="utf-8") as handle:
         if handle.readline().strip() != MODEL_HEADER:
             raise ValueError("not a cpbtd v1 model file")
         meta = handle.readline().split()

@@ -147,18 +147,17 @@ class FitReport:
 
 def write_report(report: FitReport, path) -> None:
     """Trace CSV: one row per outer iteration, row 0 the initialization."""
-    with open(path, "w") as handle:
-        handle.write(f"{REPORT_HEADER}\n")
-        rows = zip(report.objective, report.inner_iterations,
-                   report.effective_terms)
-        for k, (obj, inner, eff) in enumerate(rows):
-            handle.write(f"{k},{obj:.17g},{inner},{eff}\n")
+    rows = np.column_stack([np.arange(len(report.objective)), report.objective,
+                            report.inner_iterations, report.effective_terms])
+    with open(path, "w", encoding="utf-8") as handle:
+        np.savetxt(handle, rows, fmt="%d,%.17g,%d,%d", header=REPORT_HEADER,
+                   comments="")
 
 
 def read_report(path) -> FitReport:
     """Read a trace CSV; stop_reason "unknown", duration NaN, and
     rejected_blocks 0, since the file does not store it."""
-    with open(path, "r") as handle:
+    with open(path, encoding="utf-8") as handle:
         if handle.readline().strip() != REPORT_HEADER:
             raise ValueError("not a fit report CSV")
         obj, inner, eff = [], [], []

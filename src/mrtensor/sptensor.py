@@ -152,7 +152,7 @@ class SparseCountTensor:
 
 def write_tensor(tensor: SparseCountTensor, path) -> None:
     """Write the ``mrtensor v1`` text form (1-based, lexicographic)."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         shape = ",".join(str(d) for d in tensor.shape)
         handle.write(
             f"{FORMAT_HEADER} modes={tensor.ndim} shape={shape} "
@@ -165,7 +165,7 @@ def write_tensor(tensor: SparseCountTensor, path) -> None:
 
 def read_tensor(path) -> SparseCountTensor:
     """Read and validate the ``mrtensor v1`` text form."""
-    with open(path, "r") as handle:
+    with open(path, encoding="utf-8") as handle:
         header = handle.readline().strip()
         fields = header.split()
         if fields[:2] != FORMAT_HEADER.split() or len(fields) != 5:

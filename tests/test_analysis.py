@@ -1,11 +1,13 @@
 """Dissimilarity, motif ranking and matching, sampling, and exports."""
 
+import csv
 import io
 
 import numpy as np
 import pytest
 
 from mrtensor.analysis import (
+    DissimilarityMatrix,
     bray_curtis,
     dissimilarity_matrix,
     match_motifs,
@@ -187,6 +189,20 @@ class TestDissimilarityMatrix:
         lines = path.read_text().splitlines()
         assert lines[0] == "team,a,b"
         assert lines[1].startswith("a,0,")
+
+    def test_csv_labels_read_back_through_csv(self, tmp_path):
+        labels = ("Korea, Republic", 'say "hi"', "two\nlines",
+                  "Côte d’Ivoire")
+        upper = np.triu(np.random.default_rng(0).random((4, 4)), 1)
+        path = tmp_path / "d.csv"
+        write_dissimilarity_csv(
+            DissimilarityMatrix(labels, upper + upper.T), path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["team", *labels]
+        assert [row[0] for row in rows] == list(labels)
+        values = np.array([[float(v) for v in row[1:]] for row in rows])
+        np.testing.assert_array_equal(values, upper + upper.T)
 
 
 class TestMotifRanking:

@@ -1,5 +1,10 @@
 """End-to-end command line coverage through main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -364,6 +369,18 @@ class TestScores:
         np.testing.assert_allclose(theta.sum(axis=0), [1.0, 1.0])
 
 
+    def test_writer_bytes(self, tmp_path):
+        model, out = tmp_path / "m.txt", tmp_path / "scores.csv"
+        write_model(CpBtdModel((1, 1), [np.full((4, 2), 0.25)], np.ones(2),
+                               np.array([[1.0, 2.0], [2.0, 0.1]])), model)
+        assert main(["scores", str(model), "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"term,n1,n2\n"
+            b"1,0.33333333333333331,0.95238095238095233\n"
+            b"2,0.66666666666666663,0.047619047619047616\n"
+            b"eta,3,2.1000000000000001\n")
+
+
 class TestDissim:
     def test_writes_labeled_matrix(self, tmp_path, events_csv):
         out = tmp_path / "d.csv"
@@ -488,3 +505,33 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err == f"error: rates CSV {message}\n"
         assert not out.exists()
+
+
+def test_every_step_runs_under_an_ascii_locale(tmp_path):
+    # Every file is opened as UTF-8: no step may read or write through
+    # the locale's encoding, which is ASCII here.
+    events = EVENTS.replace("beta", "Côte d’Ivoire")
+    (tmp_path / "events.csv").write_text(events, encoding="utf-8")
+    (tmp_path / "rates.csv").write_text("term,m1,m2\n1,40,20\n2,10,30\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=str(root / "src"))
+    steps = [
+        ["encode", "events.csv", "-S", "2", "--out", "t.txt"],
+        ["fit", "t.txt", "--terms", "2", "--rank", "1", "--max-outer", "15",
+         "--seed", "0", "--report", "r.csv", "--out", "m.txt"],
+        ["motifs", "m.txt", "--top", "1", "--out", "motifs"],
+        ["dissim", "events.csv", "--scale", "1", "--out", "d.csv"],
+        ["scores", "m.txt", "--out", "s.csv"],
+        ["simulate", "m.txt", "rates.csv", "--out", "sim.txt"],
+    ]
+    for argv in steps:
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "mrtensor.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, encoding="utf-8",
+            timeout=120,
+        )
+        assert done.returncode == 0, (argv[0], done.stderr)
+    dissim = (tmp_path / "d.csv").read_text(encoding="utf-8")
+    assert dissim.startswith("team,alpha,Côte d’Ivoire\n")

@@ -31,7 +31,7 @@ def write_season(path, n_events=2000, seed=0):
 
 
 def test_readme_quickstart_runs(tmp_path, monkeypatch):
-    text = (ROOT / "README.md").read_text()
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
     write_season(tmp_path / "season.csv")
     monkeypatch.chdir(tmp_path)
@@ -39,7 +39,7 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch):
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
-    text = (ROOT / "README.md").read_text()
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     lines = [line for block in re.findall(r"```sh\n(.*?)```", text,
                                           flags=re.DOTALL)
              for line in block.splitlines() if line.startswith("mrtensor ")]
@@ -60,7 +60,7 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
 def test_readme_names_only_real_flags():
     # Inline code of the CLI section and every mrtensor line; other
     # sections name other programs' flags, such as pytest's -s.
-    text = (ROOT / "README.md").read_text()
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     (section,) = re.findall(r"^## CLI\n(.*?)^## ", text,
                             flags=re.DOTALL | re.MULTILINE)
     prose = re.sub(r"```.*?```", "", section, flags=re.DOTALL)

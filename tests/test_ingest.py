@@ -49,6 +49,18 @@ class TestParsing:
         )
         np.testing.assert_array_equal(table.replicate_index, [0, 0, 1])
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = make_csv(["m1,Côte d’Ivoire,96,10,10,50,40",
+                         "m2,b,90,20,30,60,50"]).getvalue()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        want = _package(plain, FieldGeometry())
+        got = _package(marked, FieldGeometry())
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_midfield_lands_on_one_half(self):
         table = parse_events(make_csv(["m1,a,90,57.5,37,57.5,37"]))
         np.testing.assert_array_equal(table.coords[0], [0.5, 0.5, 0.5, 0.5])

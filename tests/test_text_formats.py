@@ -202,6 +202,15 @@ class TestReportText:
         assert back.inner_iterations == inner
         assert back.effective_terms == eff
 
+    def test_writer_bytes(self):
+        report = FitReport([1 / 3, 0.1, 1e-300], [0, 12, 2**40], [2, 2, 1],
+                           0.0)
+        assert written(write_report, report) == (
+            "outer_iter,objective,inner_iters_total,effective_H\n"
+            "0,0.33333333333333331,0,2\n"
+            "1,0.10000000000000001,12,2\n"
+            "2,1e-300,1099511627776,1\n")
+
     def test_header_without_row_zero_rejected(self):
         header = REPORT_TEXT.splitlines(keepends=True)[0]
         assert read_text(read_report, header) is None

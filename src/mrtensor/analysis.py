@@ -94,8 +94,10 @@ def dissimilarity_matrix(table: EventTable, scale: int) -> DissimilarityMatrix:
 def write_dissimilarity_csv(dissim: DissimilarityMatrix, path) -> None:
     """UTF-8 CSV with a ``team`` header row and one labelled row per
     team; ``csv`` quotes each label the way ``parse_events`` reads it."""
+    quoting = (csv.QUOTE_ALL if any("\r" in s for s in dissim.labels)
+               else csv.QUOTE_MINIMAL)  # csv < 3.13 leaves a lone \r bare
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        table = csv.writer(handle, lineterminator="\n")
+        table = csv.writer(handle, lineterminator="\n", quoting=quoting)
         table.writerow(["team", *dissim.labels])
         for label, row in zip(dissim.labels, dissim.values):
             table.writerow([label, *(format(v, ".17g") for v in row)])

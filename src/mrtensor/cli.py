@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, solver, sptensor
 from .encode import _dense_side, _grid_depth, build_tensor
-from .ingest import FieldGeometry, _float, _shown, parse_events
+from .ingest import FieldGeometry, _csv_rows, _float, _shown, parse_events
 from .model import (
     effective_rank, motif_at_scale, normalize_scores, read_model, write_model,
 )
@@ -117,14 +117,14 @@ def cmd_dissim(args) -> int:
 
 
 def _read_rates(path, n_terms):
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        lines = _csv_rows(handle)
+        _, header = next(lines, (1, [""]))
         if header[0] != "term":
             raise ValueError("rates CSV must start with a 'term' column")
         rows = []
-        for lineno, line in enumerate(handle, start=2):
+        for lineno, (label, *cells) in lines:
             where = f"rates CSV line {lineno}"
-            label, *cells = line.strip().split(",")
             if len(cells) != len(header) - 1:
                 raise ValueError(f"{where}: wrong arity")
             if label != str(lineno - 1):

@@ -214,15 +214,25 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     return EventTable(replicates, rep_idx, coords)
 
 
+def _csv_rows(handle, line: int = 1):
+    """(line N, row) for each non-blank ``csv`` row of ``handle``, N
+    counting those rows from ``line``; a row ``csv`` cannot read raises
+    ``ValueError("line N: malformed row (...)")``."""
+    try:
+        for row in filter(None, csv.reader(handle)):
+            yield line, row
+            line += 1
+    except csv.Error as exc:
+        raise ValueError(f"line {line}: malformed row ({exc})") from None
+
+
 def _rescan(body: str, usecols: list[int]):
     """(rows, error): ``body`` read one csv row at a time, numbers by
     ``float``, up to its first malformed row, and the ValueError naming
     that row or None."""
     rows, error = [], None
-    records = (r for r in csv.reader(io.StringIO(body, newline="")) if r)
-    lineno = 1
     try:
-        for lineno, record in enumerate(records, start=2):
+        for lineno, record in _csv_rows(io.StringIO(body, newline=""), 2):
             cells = [record[k] if k < len(record) else None for k in usecols]
             try:
                 values = [_float(cell) for cell in cells[2:]]
@@ -232,9 +242,8 @@ def _rescan(body: str, usecols: list[int]):
                 error = ValueError(f"line {lineno}: malformed row ({exc})")
                 break
             rows.append((*cells[:2], *values))
-    except csv.Error as exc:
-        # The reader failed on the row after the last one it returned.
-        error = ValueError(f"line {lineno + 1}: malformed row ({exc})")
+    except ValueError as exc:
+        error = exc
     return np.array(rows, dtype=_ROW), error
 
 

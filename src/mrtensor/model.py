@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encode import _dense_side, _grid_depth
-from .sptensor import SparseCountTensor, _row_blocks, factor_rows
+from .sptensor import SparseCountTensor, _key_values, _row_blocks, factor_rows
 
 MODEL_HEADER = "cpbtd v1"
 
@@ -240,21 +240,13 @@ def write_model(model: CpBtdModel, path) -> None:
 
 def read_model(path) -> CpBtdModel:
     """Read and validate the ``cpbtd v1`` text form."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         if handle.readline().strip() != MODEL_HEADER:
             raise ValueError("not a cpbtd v1 model file")
-        meta = handle.readline().split()
-        try:
-            parsed = dict(f.split("=", 1) for f in meta)
-            if len(meta) != 5:  # so each key read below appears once
-                raise ValueError
-            n_modes = int(parsed["P"])
-            sizes = [int(v) for v in parsed["I"].split(",")]
-            n_terms = int(parsed["H"])
-            ranks = tuple(int(v) for v in parsed["R"].split(","))
-            n_rep = int(parsed["N"])
-        except (KeyError, ValueError):
-            raise ValueError("malformed model metadata line") from None
+        n_modes, sizes, n_terms, ranks, n_rep = _key_values(
+            handle.readline().split(),
+            {"P": int, "I": tuple, "H": int, "R": tuple, "N": int},
+            "malformed model metadata line")
         if (len(sizes) != n_modes or len(ranks) != n_terms
                 or min(*sizes, *ranks, n_rep) < 0):
             raise ValueError("model metadata is inconsistent")

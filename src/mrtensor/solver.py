@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import _csv_rows
 from .model import CpBtdModel, effective_terms, objective
 from .sptensor import SparseCountTensor, _block_rows, _row_blocks, factor_rows
 
@@ -157,20 +158,17 @@ def write_report(report: FitReport, path) -> None:
 def read_report(path) -> FitReport:
     """Read a trace CSV; stop_reason "unknown", duration NaN, and
     rejected_blocks 0, since the file does not store it."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         if handle.readline().strip() != REPORT_HEADER:
             raise ValueError("not a fit report CSV")
-        obj, inner, eff = [], [], []
-        for k, line in enumerate(handle):
-            parts = line.strip().split(",")
-            if len(parts) != 4 or int(parts[0]) != k:
-                raise ValueError(f"malformed report row {k}")
-            obj.append(float(parts[1]))
-            inner.append(int(parts[2]))
-            eff.append(int(parts[3]))
-    if not obj:
+        rows = []
+        for lineno, row in _csv_rows(handle, 2):
+            if len(row) != 4 or int(row[0]) != lineno - 2:
+                raise ValueError(f"malformed report row {lineno - 2}")
+            rows.append((float(row[1]), int(row[2]), int(row[3])))
+    if not rows:
         raise ValueError("fit report has no row 0, the initialization")
-    return FitReport(obj, inner, eff, float("nan"))
+    return FitReport(*map(list, zip(*rows)), float("nan"))
 
 
 class SolverError(RuntimeError):

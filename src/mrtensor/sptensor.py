@@ -163,20 +163,29 @@ def write_tensor(tensor: SparseCountTensor, path) -> None:
         handle.write(line * tensor.nnz % tuple(rows.ravel().tolist()))
 
 
+def _key_values(words, kinds: dict, message: str) -> list:
+    """The values of the ``key=value`` words in ``kinds`` order, each key
+    of ``kinds`` once and no other; ``kinds`` maps a key to ``int`` or to
+    ``tuple`` (a comma list of ints).  Raises ``ValueError(message)``."""
+    try:
+        found = dict(word.split("=", 1) for word in words)
+        if len(words) != len(kinds) or found.keys() != kinds.keys():
+            raise ValueError
+        return [tuple(map(int, found[key].split(","))) if kind is tuple
+                else int(found[key]) for key, kind in kinds.items()]
+    except ValueError:
+        raise ValueError(message) from None
+
+
 def read_tensor(path) -> SparseCountTensor:
     """Read and validate the ``mrtensor v1`` text form."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         header = handle.readline().strip()
-        fields = header.split()
-        if fields[:2] != FORMAT_HEADER.split() or len(fields) != 5:
-            raise ValueError(f"malformed header: {header!r}")
-        try:
-            parsed = dict(f.split("=", 1) for f in fields[2:])
-            modes = int(parsed["modes"])
-            shape = tuple(int(d) for d in parsed["shape"].split(","))
-            nnz = int(parsed["nnz"])
-        except (KeyError, ValueError):
-            raise ValueError(f"malformed header: {header!r}") from None
+        fields, malformed = header.split(), f"malformed header: {header!r}"
+        if fields[:2] != FORMAT_HEADER.split():
+            raise ValueError(malformed)
+        modes, shape, nnz = _key_values(
+            fields[2:], {"modes": int, "shape": tuple, "nnz": int}, malformed)
         if modes != len(shape):
             raise ValueError("header modes disagrees with shape")
         with warnings.catch_warnings():

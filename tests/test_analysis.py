@@ -204,6 +204,30 @@ class TestDissimilarityMatrix:
         values = np.array([[float(v) for v in row[1:]] for row in rows])
         np.testing.assert_array_equal(values, upper + upper.T)
 
+    def test_lone_carriage_return_label_reads_back(self, tmp_path):
+        # Only a quoted events field can carry a lone "\r" into a team
+        # name; csv quotes such a field by itself only from Python 3.13.
+        events = ("replicate_id,team,minutes,x_o,y_o,x_d,y_d\n"
+                  'm1,"a\rb",90,10,10,80,60\nm2,c,90,10,70,80,10\n')
+        d = dissimilarity_matrix(parse_events(io.StringIO(events)), scale=1)
+        assert d.labels == ("a\rb", "c")
+        path = tmp_path / "d.csv"
+        write_dissimilarity_csv(d, path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["team", "a\rb", "c"]
+        assert [row[0] for row in rows] == ["a\rb", "c"]
+        values = np.array([[float(v) for v in row[1:]] for row in rows])
+        np.testing.assert_array_equal(values, d.values)
+
+    def test_plain_labels_are_not_quoted(self, tmp_path):
+        # Quoting every field is kept to tables that need it.
+        d = DissimilarityMatrix(("a b", "c,d"), np.array([[0, .5], [.5, 0]]))
+        path = tmp_path / "d.csv"
+        write_dissimilarity_csv(d, path)
+        assert path.read_text(encoding="utf-8") == (
+            'team,a b,"c,d"\na b,0,0.5\n"c,d",0.5,0\n')
+
 
 class TestMotifRanking:
     def make_model(self, usages):

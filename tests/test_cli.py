@@ -457,6 +457,19 @@ class TestSimulate:
         assert t.shape[-1] == 2
         assert t.total > 0
 
+    def test_rates_read_like_events(self, tmp_path, fitted_model):
+        # Quoted cells, CRLF line ends, a byte-order mark and a trailing
+        # blank line: the rates CSV is read by csv, as the events are.
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("term,m1,m2\n1,40,20\n2,10,30\n")
+        quoted.write_bytes(b'\xef\xbb\xbf"term","m1",m2\r\n"1","40",20\r\n'
+                           b'2,10,"30"\r\n\r\n')
+        for rates in (plain, quoted):
+            assert main(["simulate", str(fitted_model), str(rates), "--seed",
+                         "5", "--out", str(rates.with_suffix(".txt"))]) == 0
+        assert (tmp_path / "quoted.txt").read_bytes() == (
+            tmp_path / "plain.txt").read_bytes()
+
     def test_no_replicate_columns_exits_two(
         self, tmp_path, fitted_model, capsys
     ):

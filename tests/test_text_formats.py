@@ -1,5 +1,6 @@
-"""Fuzzed text for the model, report and rates readers, round trips
-through their writers, and the array writers against per-value ones.
+"""Fuzzed text for the tensor, model, report and rates readers, the
+reading rules they share, round trips through their writers, and the
+array writers against per-value ones.
 
 Each reader either returns a value or raises ValueError or OSError,
 which the CLI turns into exit code 2; any other exception is a bug.
@@ -18,13 +19,15 @@ from mrtensor.analysis import write_motif_csv
 from mrtensor.cli import _read_rates
 from mrtensor.model import CpBtdModel, read_model, write_model
 from mrtensor.solver import FitReport, read_report, write_report
+from mrtensor.sptensor import SparseCountTensor, read_tensor, write_tensor
 from oracles import write_model_per_value, write_motif_csv_per_value
 
 # Pieces that the readers look for or that a number parser trips on.
 TOKENS = [
     "\n", "\r", ",", " ", "=", "\t", "0", "-1", "1e400", "nan", "inf",
     "1_0", "9" * 30, "P=", "I=", "H=", "R=", "N=", "phi 1", "omega",
-    "upsilon", "term", "\x1c", "é", "\x00",
+    "upsilon", "term", "\x1c", "é", "\x00", "\ufeff", '"', "modes=",
+    "shape=", "nnz=", "mrtensor v1",
 ]
 
 FUZZ = settings(derandomize=True, max_examples=100, deadline=None)
@@ -95,6 +98,61 @@ MODEL_TEXT = written(write_model, CpBtdModel(
 REPORT_TEXT = written(write_report, FitReport(
     [10.5, 4.25, 4.0], [0, 12, 9], [2, 2, 1], 0.1))
 RATES_TEXT = "term,n1,n2\n1,3.5,0\n2,1e-3,7\n"
+TENSOR_TEXT = written(write_tensor, SparseCountTensor(
+    (2, 3, 2), np.array([[0, 0, 0], [0, 2, 1], [1, 1, 0]]),
+    np.array([4, 1, 7])))
+
+
+def rates_of(n_terms):
+    """``_read_rates`` for ``n_terms`` terms as a one-argument reader."""
+    return lambda path: _read_rates(path, n_terms)
+
+
+class TestSharedRules:
+    """Every reader opens its file as UTF-8 with an optional byte-order
+    mark; the tensor header and the model metadata line take each of
+    their ``key=value`` words once."""
+
+    @pytest.mark.parametrize("reader, text, dump", [
+        (read_tensor, TENSOR_TEXT, lambda t: written(write_tensor, t)),
+        (read_model, MODEL_TEXT, lambda m: written(write_model, m)),
+        (read_report, REPORT_TEXT, lambda r: written(write_report, r)),
+        (rates_of(2), RATES_TEXT, lambda rates: rates.tolist()),
+    ], ids=["tensor", "model", "report", "rates"])
+    def test_byte_order_mark_is_skipped(self, reader, text, dump):
+        assert dump(read_text(reader, "\ufeff" + text)) == dump(
+            read_text(reader, text))
+
+    @pytest.mark.parametrize("reader, text, old, message", [
+        (read_tensor, TENSOR_TEXT, "modes=3 shape=2,3,2 nnz=3",
+         "malformed header"),
+        (read_model, MODEL_TEXT, "P=2 I=2,4 H=2 R=2,1 N=2",
+         "malformed model metadata line"),
+    ], ids=["tensor", "model"])
+    @pytest.mark.parametrize("edit", [
+        lambda words: words + ["junk=3"],
+        lambda words: words + words[-1:],
+        lambda words: words[:-1],
+        lambda words: words[:-1] + [words[-1] + ".0"],
+        lambda words: [words[0] + ",1"] + words[1:],
+    ], ids=["unknown key", "repeated key", "missing key",
+            "non-integer value", "comma list in a scalar key"])
+    def test_each_key_once_with_an_integer_value(
+        self, tmp_path, reader, text, old, message, edit
+    ):
+        path = tmp_path / "f"
+        path.write_text(text.replace(old, " ".join(edit(old.split()))),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            reader(path)
+
+
+class TestTensorText:
+    @FUZZ
+    @given(edited(TENSOR_TEXT))
+    def test_fuzzed_text_is_read_or_rejected(self, text):
+        tensor = read_text(read_tensor, text)
+        assert tensor is None or isinstance(tensor, SparseCountTensor)
 
 
 class TestModelText:
@@ -220,7 +278,7 @@ class TestRatesText:
     @FUZZ
     @given(edited(RATES_TEXT), st.integers(1, 3))
     def test_fuzzed_text_is_read_or_rejected(self, text, n_terms):
-        rates = read_text(lambda path: _read_rates(path, n_terms), text)
+        rates = read_text(rates_of(n_terms), text)
         assert rates is None or (
             rates.ndim == 2 and rates.shape[0] == n_terms
         )

@@ -172,10 +172,7 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
         with open(source, encoding="utf-8-sig", newline="") as handle:
             return parse_events(handle, geometry)
 
-    try:
-        header = next(csv.reader(source), None)
-    except csv.Error as exc:
-        raise ValueError(f"line 1: malformed row ({exc})") from None
+    _, header = next(_csv_rows(source), (1, None))
     if header is None:
         raise ValueError("empty source: no header row")
     missing = [c for c in _COLUMNS if c not in header]

@@ -177,6 +177,19 @@ def effective_terms(model: CpBtdModel) -> int:
     return int((model.term_usage() > RANK_THRESHOLD).sum())
 
 
+def _live(model: CpBtdModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(terms, components, mixing): the indices of the live terms (usage
+    > 0) and components (``component_scale() > 0``), and the live rows
+    and columns of ``omega_matrix()``, built at that size.  A dead one
+    has mass exactly 0, so it adds nothing to any intensity."""
+    terms = np.flatnonzero(model.term_usage() > 0)
+    components = np.flatnonzero(model.component_scale() > 0)
+    mixing = np.zeros((len(components), len(terms)))
+    column = np.searchsorted(terms, model.block_of_component()[components])
+    mixing[np.arange(len(components)), column] = model.omega[components]
+    return terms, components, mixing
+
+
 def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     """Poisson deviance core: sum of intensities minus count-weighted logs.
 
@@ -185,6 +198,7 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     stochasticity constraints).  A zero intensity at a stored positive
     count makes the objective +inf.
 
+    Every sum runs over the live terms and components (``_live``) only.
     Memory: the intensities are one nnz vector filled a row block at a
     time, so the scratch is two gathered blocks of at most
     ``_BLOCK_ELEMENTS`` entries each, never an nnz x H array.
@@ -195,18 +209,18 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
         raise ValueError("replicate counts disagree")
     if tensor.shape[:-1] != model.mode_sizes:
         raise ValueError("mode sizes disagree")
-    colsum = np.ones(model.total_rank)
-    for phi in model.factors:
-        colsum *= phi.sum(axis=0)
-    linear = float(colsum @ model.component_scale())
-    # Mix components into terms once per cell, then dot each entry's
-    # cell row with its replicate's scores.
+    terms, components, mixing = _live(model)
+    factors = [phi[:, components] for phi in model.factors]
+    colsum = np.prod([phi.sum(axis=0) for phi in factors], axis=0)
+    linear = float(colsum @ model.component_scale()[components])
+    # Mix live components into live terms once per cell, then dot each
+    # entry's cell row with its replicate's scores.
     cells, inverse = tensor.cell_groups()
-    mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
-    scores = model.upsilon.T
+    mixed = factor_rows(cells, factors) @ mixing
+    scores = model.upsilon[terms].T
     reps = tensor.indices[:, -1]
     lam = np.empty(tensor.nnz)
-    for s in _row_blocks(tensor.nnz, model.n_terms):
+    for s in _row_blocks(tensor.nnz, len(terms)):
         np.einsum("jh,jh->j", mixed[inverse[s]], scores[reps[s]], out=lam[s])
     if (lam <= 0).any():
         return math.inf

@@ -26,12 +26,14 @@ small coefficient groups at a rate that grows as they shrink: an
 adaptive pull to zero that leaves large groups nearly untouched.
 
 The outer loop alternates the replicate-score block with one block per
-tensor mode, each laid out by ``block_design``.  Mode blocks are solved
-in the mass-carrying variables A = Phi * diag(component totals), which
-keeps each row subproblem an instance of the regression above;
-afterwards the columns are renormalized onto the probability simplex,
-with the column masses folded back into the mixing weights and usage
-scores so the intensity function is preserved exactly.
+tensor mode, each laid out by ``block_design`` on the live columns: a
+dead term or component has zero mass, which no update revives, so it is
+left out and keeps its zeros.  Mode blocks are solved in the
+mass-carrying variables A = Phi * diag(component totals), which keeps
+each row subproblem an instance of the regression above; afterwards the
+columns are renormalized onto the probability simplex, with the column
+masses folded back into the mixing weights and usage scores so the
+intensity function is preserved exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import _csv_rows
-from .model import CpBtdModel, effective_terms, objective
+from .model import CpBtdModel, _live, effective_terms, objective
 from .sptensor import SparseCountTensor, _block_rows, _row_blocks, factor_rows
 
 # Dead: the inner solver zeroes coefficients at or below this.  The
@@ -203,8 +205,7 @@ def mm_poisson_regression_group(
         data; its coefficients decay to zero.
     start : (K, n_columns) nonnegative array
         Initial coefficients; zero entries stay zero (the update is
-        multiplicative), which is how dead components stay frozen
-        across calls.
+        multiplicative).
     beta
         Strength of the penalty beta * sum_k log(epsilon + sum_c b[k, c]),
         with the offset ``SolverConfig.epsilon``.
@@ -288,7 +289,7 @@ def mm_poisson_regression_group(
     for sweeps in range(1, max_iter + 1):
         for s, e, views in blocks:
             for rows, b, lam_c, _, _ in views:
-                np.matmul(rows, b, out=lam_c)
+                rows.dot(b, out=lam_c)
             if lam[s:e].min() <= 0:
                 raise ValueError(
                     "zero intensity at a positive count; the iterate "
@@ -296,7 +297,7 @@ def mm_poisson_regression_group(
                 )
             np.divide(x[s:e], lam[s:e], out=ratio[s:e])
             for rows, _, _, ratio_c, out in views:
-                np.matmul(ratio_c, rows, out=out)
+                ratio_c.dot(rows, out=out)
         for own, out in splits:
             own.sum(axis=0, out=out)
         np.multiply(bt, numer, out=new)
@@ -342,8 +343,8 @@ def initialize(
 
 def block_design(
     model: CpBtdModel, tensor: SparseCountTensor, mode: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(design, counts, segment, start) of one block's regressions.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(design, counts, segment, start, live) of one block's regressions.
 
     One row per stored entry, in ``mode_order(mode)``, gathered from its
     cell's factor-row product; ``segment`` is the entry's index along
@@ -351,9 +352,10 @@ def block_design(
     replicate mode is the score block: rows mixed into terms, usage
     scores as coefficients.  Any other mode leaves its own factor out,
     scales rows by the replicate's per-component scores psi, and solves
-    for A = Phi diag(tau), tau the component masses.
+    for A = Phi diag(tau), tau the component masses.  Columns are the
+    live terms or components only, indexed by ``live``.
 
-    Memory: the design is the one nnz x total-rank float64 array a
+    Memory: the design is the one nnz x live-columns float64 array a
     block holds.  A mode block fills it a row block at a time from the
     cell-level factor rows, so its scratch is one gathered block of at
     most ``_BLOCK_ELEMENTS`` entries.
@@ -361,32 +363,37 @@ def block_design(
     order = tensor.mode_order(mode)
     segment = tensor.indices[order, mode]
     cells, inverse = tensor.cell_groups()
-    gather = inverse[order]
+    terms, components, mixing = _live(model)
+    factors = [phi[:, components] for phi in model.factors]
     if mode == tensor.ndim - 1:
-        mixed = factor_rows(cells, model.factors) @ model.omega_matrix()
-        return mixed[gather], tensor.counts[order], segment, model.upsilon
-    usage = model.term_usage()
-    blocks = model.block_of_component()
-    safe = np.where(usage > 0, usage, 1.0)
-    psi = (model.upsilon / safe[:, None])[blocks].T
-    rows = factor_rows(cells, model.factors, skip=mode)
-    reps = tensor.indices[order, -1]
-    design = np.empty((tensor.nnz, model.total_rank))
-    for s in _row_blocks(tensor.nnz, model.total_rank):
+        mixed = factor_rows(cells, factors) @ mixing
+        return (mixed[inverse[order]], tensor.counts[order], segment,
+                model.upsilon[terms], terms)
+    term = model.block_of_component()[components]
+    psi = (model.upsilon[term] / model.term_usage()[term, None]).T
+    rows = factor_rows(cells, factors, skip=mode)
+    design = np.empty((tensor.nnz, len(components)))
+    for s in _row_blocks(tensor.nnz, len(components)):
+        entries = order[s]
         # take's default mode buffers a copy; "clip" writes in place and
         # clips nothing, since every index is a valid cell.
-        np.take(rows, gather[s], axis=0, out=design[s], mode="clip")
-        design[s] *= psi[reps[s]]
-    start = (model.factors[mode] * model.component_scale()).T
-    return design, tensor.counts[order], segment, start
+        np.take(rows, inverse[entries], axis=0, out=design[s], mode="clip")
+        design[s] *= psi[tensor.indices[entries, -1]]
+    start = (factors[mode] * model.component_scale()[components]).T
+    return design, tensor.counts[order], segment, start, components
 
 
 def _solve_block(model, tensor, mode, config):
-    return mm_poisson_regression_group(
-        *block_design(model, tensor, mode),
-        beta=config.shrinkage_strength(tensor.nnz),
-        max_iter=config.max_inner,
-    )
+    """A block solved on its live columns, returned at full width with
+    exact zeros in the dead ones."""
+    *instance, live = block_design(model, tensor, mode)
+    coef, sweeps = mm_poisson_regression_group(
+        *instance, beta=config.shrinkage_strength(tensor.nnz),
+        max_iter=config.max_inner)
+    width = model.n_terms if mode == tensor.ndim - 1 else model.total_rank
+    full = np.zeros((width, coef.shape[1]))
+    full[live] = coef
+    return full, sweeps
 
 
 def update_scores(

@@ -410,10 +410,12 @@ def parse_events_rows(source, geometry):
     only ``length``, ``width`` and ``attack_direction``.  A row too
     short to hold its replicate_id or team is malformed.
     """
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    # The header is the first non-blank row, as every body row is one.
+    header = next(filter(None, csv.reader(source)), None)
+    if header is None:
         raise ValueError("empty source: no header row")
-    missing = [c for c in EVENT_COLUMNS if c not in reader.fieldnames]
+    reader = csv.DictReader(source, fieldnames=header)
+    missing = [c for c in EVENT_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"missing columns: {', '.join(missing)}")
 

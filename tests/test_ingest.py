@@ -175,6 +175,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="y_d"):
             parse_events(src)
 
+    @pytest.mark.parametrize("lead", ["\n", "\r\n\n"])
+    def test_blank_lines_before_header_are_skipped(self, lead):
+        # The header is the first non-blank row, and line 1, as in the
+        # rates CSV; the bad row after it is line 3.
+        header = "replicate_id,team,minutes,x_o,y_o,x_d,y_d"
+        for parse in (_package, parse_events_rows):
+            _, _, coords = parse(make_csv(["m1,a,90,10,10,50,40"],
+                                          header=lead + header),
+                                 FieldGeometry())
+            assert coords.shape == (1, 4)
+            with pytest.raises(ValueError) as exc:
+                parse(make_csv(["m1,a,90,10,10,50,40", "m1,a,90,oops,1,2,3"],
+                               header=lead + header), FieldGeometry())
+            assert str(exc.value).startswith("line 3: malformed row")
+
+    def test_only_blank_lines_is_an_empty_source(self):
+        for parse in (parse_events, parse_events_rows):
+            with pytest.raises(ValueError, match="empty source"):
+                parse(io.StringIO("\n\r\n\n"), FieldGeometry())
+
     def test_malformed_row_carries_line_number(self):
         src = make_csv(["m1,a,90,10,10,50,40", "m1,a,90,oops,10,50,40"])
         with pytest.raises(ValueError, match="line 3"):

@@ -117,12 +117,29 @@ class TestMemory:
                 lambda: block_design(model, tensor, mode))
             assert peak <= 1.25 * design.nbytes + cell_rows, (mode, peak)
 
+    def test_mode_block_design_has_live_width(self):
+        # Seven of ten terms dead and one more component without weight:
+        # 11 of 40 components live.  The design and the bound above
+        # both shrink to that width.
+        model, tensor = dense_case()
+        model.upsilon[:7] = 0.0
+        model.omega[28] = 0.0
+        live = 11
+        cells, _ = tensor.cell_groups()
+        cell_rows = len(cells) * live * 8
+        for mode in range(tensor.ndim - 1):
+            block_design(model, tensor, mode)  # caches the mode order
+            (design, *_), peak = traced_peak(
+                lambda: block_design(model, tensor, mode))
+            assert design.shape == (tensor.nnz, live)
+            assert peak <= 1.25 * design.nbytes + cell_rows, (mode, peak)
+
     def test_solve_adds_vectors_not_a_design(self):
         # Every block's design is 10 (scores) or 40 (modes) nnz-long
         # float64 vectors wide; the solve's own scratch is a few of them.
         model, tensor = dense_case()
         for mode in range(tensor.ndim):
-            instance = block_design(model, tensor, mode)
+            *instance, _ = block_design(model, tensor, mode)
             _, peak = traced_peak(lambda: mm_poisson_regression_group(
                 *instance, beta=1.0, max_iter=3))
             assert peak <= 8 * tensor.nnz * 8, (mode, peak)

@@ -14,6 +14,7 @@ from mrtensor.solver import (
     SolverError,
     fit_block_gs,
     initialize,
+    mm_poisson_regression_group,
     penalized_objective,
     read_report,
     update_mode,
@@ -22,7 +23,7 @@ from mrtensor.solver import (
 )
 from mrtensor.sptensor import SparseCountTensor
 
-from oracles import fit_em
+from oracles import block_design_one_shot, fit_em, intensities_one_shot
 
 
 def random_tensor(rng, shape=(4, 4, 3), n_entries=25, top=6):
@@ -198,6 +199,69 @@ class TestBlockUpdates:
         model = initialize(cfg, t.shape, float(t.total))
         with pytest.raises(ValueError):
             update_mode(model, t, 2, cfg)
+
+
+def full_width_solve(model, tensor, mode, config):
+    """A block solved over every column, dead ones included: the
+    one-shot design and the model's own full start."""
+    order = tensor.mode_order(mode)
+    if mode == tensor.ndim - 1:
+        start = model.upsilon
+    else:
+        start = (model.factors[mode] * model.component_scale()).T
+    return mm_poisson_regression_group(
+        block_design_one_shot(model, tensor, mode), tensor.counts[order],
+        tensor.indices[order, mode], start,
+        beta=config.shrinkage_strength(tensor.nnz), max_iter=config.max_inner)
+
+
+class TestLiveColumns:
+    """Blocks and the objective leave dead columns out; the results
+    must be those of the full width, and dead columns keep what they
+    hold."""
+
+    @staticmethod
+    def case():
+        # Term 1 is dead (zero scores); term 0 keeps one live component
+        # of two (the other's weight is 0).  Columns 1, 2 and 3 are dead.
+        t = random_tensor(np.random.default_rng(76))
+        cfg = small_config(n_terms=3, rank=(2, 2, 1), beta=1e-2, max_inner=50)
+        model = initialize(cfg, t.shape, float(t.total))
+        model.omega[:] = [1.0, 0.0, 0.3, 0.7, 1.0]
+        model.upsilon[1] = 0.0
+        return model, t, cfg
+
+    def test_blocks_equal_full_width_solve(self, monkeypatch):
+        model, t, cfg = self.case()
+        dead = [1, 2, 3]
+        updates = [lambda m: update_scores(m, t, cfg)] + [
+            lambda m, p=p: update_mode(m, t, p, cfg) for p in range(2)]
+        for update in updates:
+            got, sweeps = update(model)
+            with monkeypatch.context() as patch:
+                # The same split, after a solve over every column.
+                patch.setattr(solver, "_solve_block", full_width_solve)
+                want, want_sweeps = update(model)
+            assert sweeps == want_sweeps
+            for a, b in zip([*got.factors, got.omega, got.upsilon],
+                            [*want.factors, want.omega, want.upsilon]):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+            for p in range(2):
+                assert np.array_equal(got.factors[p][:, dead],
+                                      model.factors[p][:, dead])
+                assert np.array_equal(want.factors[p][:, dead],
+                                      model.factors[p][:, dead])
+            assert np.array_equal(got.omega[dead], model.omega[dead])
+            assert np.array_equal(want.omega[dead], model.omega[dead])
+            assert not got.upsilon[1].any() and not want.upsilon[1].any()
+            model = got
+
+    def test_objective_equals_full_width_sum(self):
+        model, t, _ = self.case()
+        colsum = np.prod([phi.sum(axis=0) for phi in model.factors], axis=0)
+        want = (colsum @ model.component_scale()
+                - t.counts @ np.log(intensities_one_shot(model, t)))
+        assert objective(model, t) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestPenalizedObjective:

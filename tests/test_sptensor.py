@@ -251,9 +251,14 @@ class TestDesignRows:
     def _check_block_design(model, t, mode):
         # The solver's segmented design: row j times its segment's
         # starting coefficients is the intensity at stored entry
-        # order[j], and its count is that entry's count.
+        # order[j], and its count is that entry's count.  Its columns
+        # are the live terms or components, in order.
         order = t.mode_order(mode)
-        design, counts, segment, coef = block_design(model, t, mode)
+        design, counts, segment, coef, live = block_design(model, t, mode)
+        mass = (model.term_usage() if mode == t.ndim - 1
+                else model.component_scale())
+        np.testing.assert_array_equal(live, np.flatnonzero(mass > 0))
+        assert design.shape[1] == len(coef) == len(live)
         np.testing.assert_array_equal(counts, t.counts[order])
         np.testing.assert_array_equal(segment, t.indices[order, mode])
         assert (np.diff(segment) >= 0).all()
@@ -284,6 +289,19 @@ class TestDesignRows:
         t = self._random_tensor(rng)
         for mode in range(t.ndim - 1):
             self._check_block_design(model, t, mode)
+
+    def test_design_with_dead_columns_reproduces_intensity(self):
+        # Term 1 is dead (zero scores); term 0 keeps one live component
+        # of two (the other's weight is 0), and term 2 both of its own.
+        rng = np.random.default_rng(23)
+        model = random_model(rng, ranks=(2, 1, 2))
+        model.upsilon[1] = 0.0
+        model.omega[:2] = [0.0, 1.0]
+        t = self._random_tensor(rng)
+        for mode in range(t.ndim):
+            self._check_block_design(model, t, mode)
+        assert len(block_design(model, t, 0)[4]) == 3
+        assert len(block_design(model, t, t.ndim - 1)[4]) == 2
 
 
 @st.composite

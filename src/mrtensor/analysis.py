@@ -221,6 +221,8 @@ def write_motif_svg(matrix: np.ndarray, path, top_edges: int = 20) -> int:
     scale = (size.bit_length() - 1) // 2
     if matrix.shape != (size, size) or 4**scale != size:
         raise ValueError("motif matrix must be 4**s square")
+    if not np.isfinite(matrix).all():
+        raise ValueError("motif matrix must be finite")
     grid = 2**scale
     flat = matrix.ravel()
     order = np.argsort(-flat, kind="stable")

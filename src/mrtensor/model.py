@@ -106,12 +106,6 @@ class CpBtdModel:
         """Term index of every flat component column."""
         return np.repeat(np.arange(self.n_terms), self.ranks)
 
-    def omega_matrix(self) -> np.ndarray:
-        """Block-diagonal R_total x H mixing matrix."""
-        out = np.zeros((self.total_rank, self.n_terms))
-        out[np.arange(self.total_rank), self.block_of_component()] = self.omega
-        return out
-
     def term_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-term sums of a flat per-component array."""
         return np.array([values[self.block(h)].sum() for h in range(self.n_terms)])
@@ -177,17 +171,18 @@ def effective_terms(model: CpBtdModel) -> int:
     return int((model.term_usage() > RANK_THRESHOLD).sum())
 
 
-def _live(model: CpBtdModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(terms, components, mixing): the indices of the live terms (usage
-    > 0) and components (``component_scale() > 0``), and the live rows
-    and columns of ``omega_matrix()``, built at that size.  A dead one
-    has mass exactly 0, so it adds nothing to any intensity."""
+def _live(model: CpBtdModel):
+    """(terms, components, factors, mixing) at live width: the live
+    terms (usage > 0) and components (``component_scale() > 0``), each
+    factor's live columns, and the mixing matrix, each weight in its
+    term's column.  A dead one has mass 0: it adds to no intensity."""
     terms = np.flatnonzero(model.term_usage() > 0)
     components = np.flatnonzero(model.component_scale() > 0)
     mixing = np.zeros((len(components), len(terms)))
     column = np.searchsorted(terms, model.block_of_component()[components])
     mixing[np.arange(len(components)), column] = model.omega[components]
-    return terms, components, mixing
+    factors = [phi[:, components] for phi in model.factors]
+    return terms, components, factors, mixing
 
 
 def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
@@ -209,8 +204,7 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
         raise ValueError("replicate counts disagree")
     if tensor.shape[:-1] != model.mode_sizes:
         raise ValueError("mode sizes disagree")
-    terms, components, mixing = _live(model)
-    factors = [phi[:, components] for phi in model.factors]
+    terms, components, factors, mixing = _live(model)
     colsum = np.prod([phi.sum(axis=0) for phi in factors], axis=0)
     linear = float(colsum @ model.component_scale()[components])
     # Mix live components into live terms once per cell, then dot each

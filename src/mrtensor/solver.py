@@ -5,7 +5,7 @@ Every block update is a bundle of identity-link Poisson regressions
     minimize  sum_k b_k - sum_j x_j log(sum_k a_jk b_k)   over b >= 0
 
 solved by a majorize-minimize scheme: the log of a sum is bounded below
-through Jensen's inequality at the current iterate, which splits each
+through Jensen's inequality at the current iterate, which shares each
 observation across coefficients proportionally to their current
 contribution and gives the closed-form sweep
 
@@ -159,15 +159,24 @@ def write_report(report: FitReport, path) -> None:
 
 def read_report(path) -> FitReport:
     """Read a trace CSV; stop_reason "unknown", duration NaN, and
-    rejected_blocks 0, since the file does not store it."""
+    rejected_blocks 0, since the file does not store it.  Row N holds
+    what a fit writes: N, a finite objective and two counts >= 0."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
         if handle.readline().strip() != REPORT_HEADER:
             raise ValueError("not a fit report CSV")
         rows = []
         for lineno, row in _csv_rows(handle, 2):
-            if len(row) != 4 or int(row[0]) != lineno - 2:
-                raise ValueError(f"malformed report row {lineno - 2}")
-            rows.append((float(row[1]), int(row[2]), int(row[3])))
+            try:
+                index, value, sweeps, terms = (
+                    parse(cell) for parse, cell
+                    in zip((int, float, int, int), row, strict=True))
+                if (index != lineno - 2 or not math.isfinite(value)
+                        or min(sweeps, terms) < 0):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"malformed report row {lineno - 2}") from None
+            rows.append((value, sweeps, terms))
     if not rows:
         raise ValueError("fit report has no row 0, the initialization")
     return FitReport(*map(list, zip(*rows)), float("nan"))
@@ -268,27 +277,23 @@ def mm_poisson_regression_group(
     numer = np.zeros_like(bt)
     new, delta, floor = (np.empty_like(bt) for _ in range(3))
     # Row blocks of at most `step` rows: a run of whole spans, or one
-    # piece of a longer span; a split span sums its pieces' numerators.
+    # piece of a longer span; later pieces add to the first's numerator.
     step = _block_rows(bt.shape[1])
     first = np.flatnonzero(np.diff(segment, prepend=-1))
     ends = first[1:].tolist() + [len(segment)]
-    blocks, splits = [], []
+    blocks = []
     for c, s, e in zip(segment[first].tolist(), first.tolist(), ends):
-        own = numer[c:c + 1]
-        if e - s > step:
-            own = np.empty((-(-(e - s) // step), bt.shape[1]))
-            splits.append((own, numer[c]))
-        for q, out in zip(range(s, e, step), own):
+        for q in range(s, e, step):
             r = min(q + step, e)
             if not blocks or r - blocks[-1][0] > step:
                 blocks.append([q, r, []])
             blocks[-1][1] = r
             blocks[-1][2].append(
-                (design[q:r], bt[c], lam[q:r], ratio[q:r], out))
+                (design[q:r], bt[c], lam[q:r], ratio[q:r], numer[c], q > s))
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         for s, e, views in blocks:
-            for rows, b, lam_c, _, _ in views:
+            for rows, b, lam_c, _, _, _ in views:
                 rows.dot(b, out=lam_c)
             if lam[s:e].min() <= 0:
                 raise ValueError(
@@ -296,10 +301,11 @@ def mm_poisson_regression_group(
                     "cannot support the data"
                 )
             np.divide(x[s:e], lam[s:e], out=ratio[s:e])
-            for rows, _, _, ratio_c, out in views:
-                ratio_c.dot(rows, out=out)
-        for own, out in splits:
-            own.sum(axis=0, out=out)
+            for rows, _, _, ratio_c, out, later in views:
+                if later:
+                    out += ratio_c.dot(rows)
+                else:
+                    ratio_c.dot(rows, out=out)
         np.multiply(bt, numer, out=new)
         new *= 1.0 / (1.0 + beta / (SolverConfig.epsilon + bt.sum(0)))
         np.abs(np.subtract(new, bt, out=delta), out=delta)
@@ -363,8 +369,7 @@ def block_design(
     order = tensor.mode_order(mode)
     segment = tensor.indices[order, mode]
     cells, inverse = tensor.cell_groups()
-    terms, components, mixing = _live(model)
-    factors = [phi[:, components] for phi in model.factors]
+    terms, components, factors, mixing = _live(model)
     if mode == tensor.ndim - 1:
         mixed = factor_rows(cells, factors) @ mixing
         return (mixed[inverse[order]], tensor.counts[order], segment,
@@ -384,16 +389,13 @@ def block_design(
 
 
 def _solve_block(model, tensor, mode, config):
-    """A block solved on its live columns, returned at full width with
-    exact zeros in the dead ones."""
+    """(coefficients, live, sweeps) of a block solved on its live
+    columns: one coefficient row per index in ``live``."""
     *instance, live = block_design(model, tensor, mode)
     coef, sweeps = mm_poisson_regression_group(
         *instance, beta=config.shrinkage_strength(tensor.nnz),
         max_iter=config.max_inner)
-    width = model.n_terms if mode == tensor.ndim - 1 else model.total_rank
-    full = np.zeros((width, coef.shape[1]))
-    full[live] = coef
-    return full, sweeps
+    return coef, live, sweeps
 
 
 def update_scores(
@@ -406,7 +408,9 @@ def update_scores(
     penalty over each term's row of scores.
     """
     out = model.copy()
-    out.upsilon, sweeps = _solve_block(model, tensor, tensor.ndim - 1, config)
+    scores, terms, sweeps = _solve_block(
+        model, tensor, tensor.ndim - 1, config)
+    out.upsilon[terms] = scores
     return out, sweeps
 
 
@@ -416,7 +420,7 @@ def update_mode(
     """Refit one mode's profiles (and the mixing weights) in mass form.
 
     Solves the row subproblems of A = Phi diag(tau), tau the component
-    masses, then splits A back into a column-stochastic factor, block
+    masses, then divides A back into a column-stochastic factor, block
     mixing weights, and rescaled usage scores.  The rescale is exact:
     the intensity function after the split equals the one the
     regression optimized.  A component left at zero mass keeps its last
@@ -425,15 +429,15 @@ def update_mode(
     """
     if not 0 <= mode < model.n_modes:
         raise ValueError("mode out of range")
-    mass_form, sweeps = _solve_block(model, tensor, mode, config)
-    a = mass_form.T
-    rho = a.sum(axis=0)
+    coef, components, sweeps = _solve_block(model, tensor, mode, config)
+    rho = np.zeros(model.total_rank)
+    rho[components] = coef.sum(axis=1)
     mass = model.term_sums(rho)
     live = rho > 0
     term = model.block_of_component()
     in_live = (mass > 0)[term]
     out = model.copy()
-    out.factors[mode][:, live] = a[:, live] / rho[live]
+    out.factors[mode][:, live] = coef[live[components]].T / rho[live]
     out.omega[in_live] = rho[in_live] / mass[term[in_live]]
     out.upsilon *= np.divide(mass, model.term_usage(), where=mass > 0,
                              out=np.zeros(model.n_terms))[:, None]

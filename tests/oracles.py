@@ -186,7 +186,7 @@ def block_design_one_shot(model, tensor, mode: int):
     order = tensor.mode_order(mode)
     cells, inverse = tensor.cell_groups()
     if mode == tensor.ndim - 1:
-        mixed = _hadamard_rows(cells, model.factors) @ model.omega_matrix()
+        mixed = _hadamard_rows(cells, model.factors) @ omega_matrix(model)
         return mixed[inverse[order]]
     usage = model.term_usage()
     safe = np.where(usage > 0, usage, 1.0)
@@ -199,7 +199,7 @@ def intensities_one_shot(model, tensor):
     """Model intensity at every stored entry from two nnz x H gathers:
     cell rows mixed into terms, and the replicates' scores."""
     cells, inverse = tensor.cell_groups()
-    mixed = _hadamard_rows(cells, model.factors) @ model.omega_matrix()
+    mixed = _hadamard_rows(cells, model.factors) @ omega_matrix(model)
     scores = model.upsilon.T[tensor.indices[:, -1]]
     return np.einsum("jh,jh->j", mixed[inverse], scores)
 
@@ -224,7 +224,18 @@ def densify(tensor):
     return out
 
 
-def dense_reconstruct(factors, omega_matrix, upsilon):
+def omega_matrix(model):
+    """Block-diagonal R_total x H mixing matrix: term h's weights in
+    column h, on the rows of its block."""
+    out = np.zeros((sum(model.ranks), len(model.ranks)))
+    start = 0
+    for h, rank in enumerate(model.ranks):
+        out[start:start + rank, h] = model.omega[start:start + rank]
+        start += rank
+    return out
+
+
+def dense_reconstruct(factors, mixing, upsilon):
     """Dense intensity grid of a factor model, shape (I_1, ..., I_P, N)."""
     sizes = [phi.shape[0] for phi in factors]
     n = upsilon.shape[1]
@@ -232,7 +243,7 @@ def dense_reconstruct(factors, omega_matrix, upsilon):
     full = np.ones((1, width))
     for phi in factors:
         full = (full[:, None, :] * phi[None, :, :]).reshape(-1, width)
-    lam = full @ (omega_matrix @ upsilon)
+    lam = full @ (mixing @ upsilon)
     return lam.reshape(*sizes, n)
 
 
@@ -241,7 +252,7 @@ def simulate_cells(model, seed=0):
     counts at every cell of the dense intensity grid."""
     shape = model.mode_sizes + (model.n_replicates,)
     rng = np.random.default_rng(seed)
-    lam = dense_reconstruct(model.factors, model.omega_matrix(), model.upsilon)
+    lam = dense_reconstruct(model.factors, omega_matrix(model), model.upsilon)
     counts = rng.poisson(lam)
     idx = np.argwhere(counts > 0)
     return SparseCountTensor.from_entries(

@@ -45,6 +45,7 @@ from oracles import (
     densify,
     fit_em,
     grid_minimize_poisson,
+    omega_matrix,
     poisson_objective,
     random_regression_instance,
     simulate_cells,
@@ -421,7 +422,7 @@ class TestCriterion9:
             np.array([1.0, 0.6, 0.4]),
             rng.uniform(8.0, 20.0, size=(2, 3)))
         lam = dense_reconstruct(
-            planted.factors, planted.omega_matrix(), planted.upsilon)
+            planted.factors, omega_matrix(planted), planted.upsilon)
         n_draws = 200
         samplers = {"superposition": simulate, "cells": simulate_cells}
         for method, sample in samplers.items():

@@ -409,6 +409,14 @@ class TestExports:
         with pytest.raises(ValueError, match="4\\*\\*s square"):
             write_motif_svg(np.zeros((0, 0)), tmp_path / "m.svg")
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_svg_rejects_non_finite_matrix(self, tmp_path, bad):
+        m = np.ones((4, 4))
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="motif matrix must be finite"):
+            write_motif_svg(m, tmp_path / "m.svg")
+        assert not (tmp_path / "m.svg").exists()
+
     def test_svg_rejects_negative_edge_count(self, tmp_path):
         with pytest.raises(ValueError, match="top_edges"):
             write_motif_svg(np.ones((4, 4)), tmp_path / "m.svg", top_edges=-3)

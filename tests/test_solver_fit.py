@@ -203,16 +203,18 @@ class TestBlockUpdates:
 
 def full_width_solve(model, tensor, mode, config):
     """A block solved over every column, dead ones included: the
-    one-shot design and the model's own full start."""
+    one-shot design and the model's own full start, with every index
+    returned as live."""
     order = tensor.mode_order(mode)
     if mode == tensor.ndim - 1:
         start = model.upsilon
     else:
         start = (model.factors[mode] * model.component_scale()).T
-    return mm_poisson_regression_group(
+    coef, sweeps = mm_poisson_regression_group(
         block_design_one_shot(model, tensor, mode), tensor.counts[order],
         tensor.indices[order, mode], start,
         beta=config.shrinkage_strength(tensor.nnz), max_iter=config.max_inner)
+    return coef, np.arange(len(coef)), sweeps
 
 
 class TestLiveColumns:

@@ -23,7 +23,7 @@ from mrtensor.sptensor import (
     write_tensor,
 )
 from oracles import (
-    dense_reconstruct, densify, intensity_at, write_tensor_rows,
+    dense_reconstruct, densify, intensity_at, omega_matrix, write_tensor_rows,
 )
 
 
@@ -378,7 +378,7 @@ class TestDenseReconstruct:
         rng = np.random.default_rng(23)
         model = random_model(rng, sizes=(3, 2), ranks=(2, 2), n_rep=2)
         lam = dense_reconstruct(
-            model.factors, model.omega_matrix(), model.upsilon
+            model.factors, omega_matrix(model), model.upsilon
         )
         assert lam.shape == (3, 2, 2)
         for i in range(3):

@@ -247,8 +247,9 @@ class TestReportText:
         assert report is None or isinstance(report, FitReport)
 
     @FUZZ
-    @given(st.lists(st.tuples(st.floats(), st.integers(0, 2**40),
-                              st.integers(0, 10**6)),
+    @given(st.lists(st.tuples(st.floats(allow_nan=False,
+                                        allow_infinity=False),
+                              st.integers(0, 2**40), st.integers(0, 10**6)),
                     min_size=1, max_size=8))
     def test_round_trip_exact(self, rows):
         objective = [r[0] for r in rows]
@@ -256,7 +257,7 @@ class TestReportText:
         eff = [r[2] for r in rows]
         report = FitReport(objective, inner, eff, 1.0)
         back = read_text(read_report, written(write_report, report))
-        assert np.array_equal(back.objective, objective, equal_nan=True)
+        assert np.array_equal(back.objective, objective)
         assert back.inner_iterations == inner
         assert back.effective_terms == eff
 
@@ -272,6 +273,17 @@ class TestReportText:
     def test_header_without_row_zero_rejected(self):
         header = REPORT_TEXT.splitlines(keepends=True)[0]
         assert read_text(read_report, header) is None
+
+    @pytest.mark.parametrize("row", ["0,nan,0,3", "1,inf,5,-2", "1,2.5,x,3"])
+    def test_row_a_fit_never_writes_rejected(self, tmp_path, row):
+        # A fit's objective is finite and its counts are nonnegative.
+        lines = REPORT_TEXT.splitlines(keepends=True)
+        index = int(row.split(",")[0])
+        lines[index + 1] = row + "\n"
+        path = tmp_path / "r.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"malformed report row {index}$"):
+            read_report(path)
 
 
 class TestRatesText:

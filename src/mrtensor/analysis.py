@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import _dense_side, _quadrant_columns, chain_index, node_tile
+from .encode import _networks, _quadrant_columns, node_tile
 from .ingest import EventTable, team_minutes
 from .model import CpBtdModel, effective_terms
 from .sptensor import SparseCountTensor
@@ -58,11 +58,10 @@ class DissimilarityMatrix:
 def dissimilarity_matrix(table: EventTable, scale: int) -> DissimilarityMatrix:
     """Pairwise Bray-Curtis between teams' per-minute passing networks.
 
-    Every event is keyed by its team and its origin and destination
-    nodes at the requested scale (chained quadrant labels, the node
-    order of the adjacency matrices), and one bincount over the keys
-    gives each team's origin x destination count matrix, pooled over
-    its replicates.  Dividing by the team's total minutes makes each a
+    Each team's origin x destination count matrix at the requested
+    scale, pooled over its replicates, is counted as
+    ``adjacency_at_scale`` counts one replicate's, in the same node
+    order.  Dividing by the team's total minutes makes each a
     per-minute rate; Bray-Curtis is blind to a factor common to both
     vectors, so no reference duration is needed.  A team with no passes
     has no network to compare and raises.
@@ -72,15 +71,10 @@ def dissimilarity_matrix(table: EventTable, scale: int) -> DissimilarityMatrix:
     if not teams:
         raise ValueError("table has no teams")
     quadrants = _quadrant_columns(table.coords, scale)
-    size = _dense_side(scale, len(teams))
     team_of_rep = np.array([teams.index(rep.team) for rep in table.replicates])
-    key = (
-        team_of_rep[table.replicate_index] * size
-        + chain_index(quadrants[:, 0::2])
-    ) * size + chain_index(quadrants[:, 1::2])
-    counts = np.bincount(key, minlength=len(teams) * size * size)
     totals = np.array(list(minutes.values()))
-    rates = counts.reshape(len(teams), size * size) / totals[:, None]
+    rates = _networks(quadrants, scale, team_of_rep[table.replicate_index],
+                      len(teams)).reshape(len(teams), -1) / totals[:, None]
     idle = ~rates.any(axis=1)
     if idle.any():
         raise ValueError(f"team {teams[idle.argmax()]!r} has no passes")

@@ -93,6 +93,10 @@ def cmd_motifs(args) -> int:
             file=sys.stderr,
         )
     chosen = ranked[: args.top]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.isfinite(motif_at_scale(fitted, h, s)).all()
+                   for h, _ in chosen for s in scales):
+            raise ValueError("motif matrix must be finite")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for h, usage in chosen:

@@ -134,6 +134,17 @@ def node_tile(node: int, scales: int) -> tuple[int, int]:
     return tx, ty
 
 
+def _networks(quadrants, scale, group, n_groups, counts=None):
+    """Origin x destination counts, shape (n_groups, 4**scale, 4**scale):
+    row k of the quadrant columns adds ``counts[k]`` (default 1) to the
+    network ``group[k]``; a scalar ``group`` takes every row."""
+    size = _dense_side(scale, n_groups)
+    key = ((group * size + chain_index(quadrants[:, 0 : 2 * scale : 2]))
+           * size + chain_index(quadrants[:, 1 : 2 * scale : 2]))
+    return np.bincount(key, counts, n_groups * size * size).reshape(
+        n_groups, size, size)
+
+
 def adjacency_at_scale(
     tensor: SparseCountTensor, replicate: int, scales: int
 ) -> np.ndarray:
@@ -147,11 +158,7 @@ def adjacency_at_scale(
     n = tensor.shape[-1]
     if not isinstance(replicate, (int, np.integer)) or not 0 <= replicate < n:
         raise ValueError(f"replicate must be an integer in [0, {n})")
-    size = _dense_side(scales)
     rows = tensor.indices[:, -1] == replicate
-    idx = tensor.indices[rows]
-    vo = chain_index(idx[:, 0 : 2 * scales : 2])
-    vd = chain_index(idx[:, 1 : 2 * scales : 2])
-    out = np.zeros((size, size), dtype=np.int64)
-    np.add.at(out, (vo, vd), tensor.counts[rows])
-    return out
+    # Weighted sums come back as float64, exact integers below 2**53.
+    return _networks(tensor.indices[rows], scales, 0, 1,
+                     tensor.counts[rows])[0].astype(np.int64)

@@ -224,6 +224,17 @@ def densify(tensor):
     return out
 
 
+def dense_networks(tensor, scale):
+    """Origin x destination counts of every replicate at ``scale``, shape
+    (4**scale, 4**scale, N), from the dense quadrant-grid tensor: finer
+    modes summed out, origin modes 0, 2, ... moved ahead of destination
+    modes 1, 3, ..., coarsest first."""
+    dense = densify(tensor)
+    dense = dense.sum(axis=tuple(range(2 * scale, tensor.ndim - 1)))
+    order = [*range(0, 2 * scale, 2), *range(1, 2 * scale, 2), 2 * scale]
+    return dense.transpose(order).reshape(4**scale, 4**scale, -1)
+
+
 def omega_matrix(model):
     """Block-diagonal R_total x H mixing matrix: term h's weights in
     column h, on the rows of its block."""

@@ -17,11 +17,11 @@ from mrtensor.analysis import (
     write_motif_csv,
     write_motif_svg,
 )
-from mrtensor.encode import adjacency_at_scale, build_tensor
+from mrtensor.encode import build_tensor
 from mrtensor.model import CpBtdModel, effective_terms
 from mrtensor.ingest import EventTable, Replicate, parse_events, team_minutes
 
-from oracles import simulate_cells
+from oracles import dense_networks, simulate_cells
 
 
 def table_from(rows):
@@ -63,13 +63,13 @@ class TestBrayCurtis:
 
 
 def dissimilarity_through_tensor(table, scale):
-    """Team networks as per-replicate tensor slices summed per team,
-    divided by the team's minutes."""
-    tensor = build_tensor(table, scale)
+    """Team networks as per-replicate dense tensor slices summed per
+    team, divided by the team's minutes."""
+    per_rep = dense_networks(build_tensor(table, scale), scale)
     minutes = team_minutes(table)
     nets = {team: np.zeros((4**scale, 4**scale)) for team in minutes}
     for n, rep in enumerate(table.replicates):
-        nets[rep.team] += adjacency_at_scale(tensor, n, scale)
+        nets[rep.team] += per_rep[:, :, n]
     vecs = [nets[t].ravel() / minutes[t] for t in minutes]
     out = np.zeros((len(vecs), len(vecs)))
     for i in range(len(vecs)):

@@ -344,6 +344,19 @@ class TestMotifs:
         assert code == 0
         assert (outdir / "motif_1_scale_2.csv").exists()
 
+    def test_overflowing_motif_exits_two_first(self, tmp_path, capsys):
+        # read_model takes any finite nonnegative factors, so a motif can
+        # overflow to inf; no file may be written before that is found.
+        model = tmp_path / "m.txt"
+        model.write_text("cpbtd v1\nP=2 I=4,4 H=1 R=1 N=1\n"
+                         "phi 1\n1e300 0 0 0\nphi 2\n1e300 0 0 0\n"
+                         "omega\n1\nupsilon\n1\n")
+        outdir = tmp_path / "motifs"
+        code = main(["motifs", str(model), "--top", "1", "--out", str(outdir)])
+        assert code == 2
+        assert "motif matrix must be finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_top_zero_writes_nothing(self, tmp_path, fitted_model):
         outdir = tmp_path / "motifs"
         code = main([

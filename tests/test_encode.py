@@ -24,7 +24,7 @@ from mrtensor.encode import (
 from mrtensor.ingest import EventTable, Replicate, parse_events
 from mrtensor.sptensor import SparseCountTensor
 
-from oracles import densify, quadrant_labels
+from oracles import dense_networks, densify, quadrant_labels
 
 NOT_GRIDS = [(3, 3, 2), (8, 8, 2), (4, 4, 4, 2), (2,)]
 
@@ -304,6 +304,23 @@ class TestAdjacency:
                     4 ** (s - 1), 4, 4 ** (s - 1), 4
                 ).sum(axis=(1, 3))
                 np.testing.assert_array_equal(folded, coarse)
+
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_matches_dense_slices(self, scale):
+        # Repeated entries merge into counts above 1, which every
+        # replicate's network must carry whole.
+        rng = np.random.default_rng(17)
+        idx = np.column_stack([rng.integers(0, 4, size=(300, 6)),
+                               rng.integers(0, 3, size=300)])
+        idx = np.vstack([idx, idx[:100], idx[:30]])
+        t = SparseCountTensor.from_entries(
+            (4,) * 6 + (3,), idx, rng.integers(1, 4, size=len(idx)))
+        assert t.counts.max() > 3
+        dense = dense_networks(t, scale)
+        for rep in range(3):
+            a = adjacency_at_scale(t, rep, scale)
+            assert a.dtype == np.int64
+            assert np.array_equal(a, dense[:, :, rep])
 
     def test_row_sums_count_origin_activity(self):
         table = table_from(

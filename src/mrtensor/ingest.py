@@ -163,9 +163,10 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
     Raises ValueError on missing columns, a malformed row (too short,
     a number ``float`` rejects, or a field ``csv`` cannot read),
     non-positive minutes, conflicting metadata for one replicate_id,
-    or coordinates outside the field beyond tolerance.
-    A row error names ``line N``: the header is line 1 and each
-    non-blank row one more.  It quotes at most 80 characters of a cell.
+    or coordinates outside the field beyond tolerance.  A row error
+    names ``line N`` (the header is line 1, each non-blank row one
+    more) and quotes at most 80 characters of a cell.  A short row
+    names the first listed column it lacks (``no x_d cell``).
     """
     geometry = geometry or FieldGeometry()
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -195,11 +196,7 @@ def parse_events(source, geometry: FieldGeometry | None = None) -> EventTable:
         except ValueError:
             pass  # a malformed row, or a number only float() reads
     if rows is None:
-        rows, error = _rescan(body, usecols)
-        if error:
-            # Name an earlier row's problem first, if it has one.
-            _replicates(rows)
-            raise error
+        rows = _rescan(body, usecols)
     replicates, rep_idx = _replicates(rows)
 
     mirror = geometry.attack_direction == "right_to_left"
@@ -223,25 +220,24 @@ def _csv_rows(handle, line: int = 1):
         raise ValueError(f"line {line}: malformed row ({exc})") from None
 
 
-def _rescan(body: str, usecols: list[int]):
-    """(rows, error): ``body`` read one csv row at a time, numbers by
-    ``float``, up to its first malformed row, and the ValueError naming
-    that row or None."""
-    rows, error = [], None
+def _rescan(body: str, usecols: list[int]) -> np.ndarray:
+    """``body`` read one csv row at a time, numbers by ``float``; raises
+    at its first malformed row, naming an earlier row's problem first."""
+    rows = []
     try:
-        for lineno, record in _csv_rows(io.StringIO(body, newline=""), 2):
-            cells = [record[k] if k < len(record) else None for k in usecols]
+        for n, record in _csv_rows(io.StringIO(body, newline=""), 2):
+            short = [c for c, k in zip(_COLUMNS, usecols) if k >= len(record)]
             try:
-                values = [_float(cell) for cell in cells[2:]]
-                if None in cells[:2]:
-                    raise ValueError(f"no {_COLUMNS[cells.index(None)]} cell")
-            except (TypeError, ValueError) as exc:
-                error = ValueError(f"line {lineno}: malformed row ({exc})")
-                break
-            rows.append((*cells[:2], *values))
-    except ValueError as exc:
-        error = exc
-    return np.array(rows, dtype=_ROW), error
+                if short:
+                    raise ValueError(f"no {short[0]} cell")
+                cells = [record[k] for k in usecols]
+                rows.append((*cells[:2], *map(_float, cells[2:])))
+            except ValueError as exc:
+                raise ValueError(f"line {n}: malformed row ({exc})") from None
+    except ValueError:
+        _replicates(np.array(rows, dtype=_ROW))
+        raise
+    return np.array(rows, dtype=_ROW)
 
 
 def _shown(cell: str) -> str:

@@ -434,11 +434,10 @@ def update_mode(
     rho[components] = coef.sum(axis=1)
     mass = model.term_sums(rho)
     live = rho > 0
-    term = model.block_of_component()
-    in_live = (mass > 0)[term]
+    term_mass = mass[model.block_of_component()]
     out = model.copy()
     out.factors[mode][:, live] = coef[live[components]].T / rho[live]
-    out.omega[in_live] = rho[in_live] / mass[term[in_live]]
+    np.divide(rho, term_mass, out=out.omega, where=term_mass > 0)
     out.upsilon *= np.divide(mass, model.term_usage(), where=mass > 0,
                              out=np.zeros(model.n_terms))[:, None]
     return out, sweeps
@@ -499,16 +498,15 @@ def fit_block_gs(
         report.stop_reason = stop_reason
         return report
 
-    blocks = [(update_scores, ())]
-    blocks += [(update_mode, (p,)) for p in range(model.n_modes)]
+    blocks = [("score", update_scores, ())] + [
+        (f"mode {p}", update_mode, (p,)) for p in range(model.n_modes)]
     for _ in range(config.max_outer):
         inner_total = accepted = 0
         worst = current
-        for update, args in blocks:
+        for block, update, args in blocks:
             try:
                 trial, sweeps = update(model, tensor, *args, config)
             except ValueError as exc:
-                block = f"mode {args[0]}" if args else "score"
                 raise SolverError(f"fit aborted in the {block} block: {exc}",
                                   model=model, report=ended()) from exc
             inner_total += sweeps

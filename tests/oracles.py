@@ -430,7 +430,8 @@ def parse_events_rows(source, geometry):
     (replicate_id, team, minutes) tuples in first-appearance order, or
     raises ValueError with the package's messages.  ``geometry`` needs
     only ``length``, ``width`` and ``attack_direction``.  A row too
-    short to hold its replicate_id or team is malformed.
+    short to hold one of the columns is malformed, and its error names
+    the first such column in EVENT_COLUMNS order.
     """
     # The header is the first non-blank row, as every body row is one.
     header = next(filter(None, csv.reader(source)), None)
@@ -447,14 +448,14 @@ def parse_events_rows(source, geometry):
     raw = {c: [] for c in ("x_o", "y_o", "x_d", "y_d")}
     for lineno, row in enumerate(reader, start=2):
         try:
+            for name in EVENT_COLUMNS:
+                if row[name] is None:
+                    raise ValueError(f"no {name} cell")
             rid = row["replicate_id"]
             team = row["team"]
             minutes = _float_cell(row["minutes"])
             coords = {c: _float_cell(row[c]) for c in raw}
-            for name, cell in (("replicate_id", rid), ("team", team)):
-                if cell is None:
-                    raise ValueError(f"no {name} cell")
-        except (TypeError, KeyError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"line {lineno}: malformed row ({exc})") from None
         if not (minutes > 0 and math.isfinite(minutes)):
             raise ValueError(f"line {lineno}: minutes must be positive")

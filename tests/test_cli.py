@@ -89,8 +89,7 @@ class TestEncode:
          "line 3: malformed row (could not convert string to float: "
          "'10\\x00')"),
         ('"m1,alpha,96,10,10,50,40',
-         "line 3: malformed row (float() argument must be a string or a "
-         "real number, not 'NoneType')"),
+         "line 3: malformed row (no team cell)"),
     ], ids=["nul byte", "unclosed quote"])
     def test_nul_byte_or_unclosed_quote_exits_two(
         self, tmp_path, capsys, row, message
@@ -102,6 +101,17 @@ class TestEncode:
                      "--out", str(tmp_path / "t.txt")])
         assert code == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_file_cut_mid_row_exits_two(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        header = EVENTS.splitlines()[0]
+        events.write_text(f"{header}\nm1,a,90,10,10,50,40\nm1,a,90,10,1")
+        code = main(["encode", str(events), "-S", "1",
+                     "--out", str(tmp_path / "t.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: line 3: malformed row (no x_d cell)")
         assert not (tmp_path / "t.txt").exists()
 
     def test_overlong_field_exits_two(self, tmp_path, capsys):

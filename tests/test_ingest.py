@@ -465,8 +465,10 @@ class TestAgainstRowOracle:
 
     @pytest.mark.parametrize("text, message", [
         ("m1,a,90,1,2,3,4\nm1,a,90,1,2,3\n",
-         "line 3: malformed row (float() argument must be a string or a "
-         "real number, not 'NoneType')"),
+         "line 3: malformed row (no y_d cell)"),
+        ("m1,a,oops\n", "line 2: malformed row (no x_o cell)"),
+        ("m1,a,0,1,2,3,4\nm1,a,90,1,2,3\n",
+         "line 2: minutes must be positive"),
         ("m1,a,90,1,2,3,4\n\nm1,a,90,1_0,2,3,4x\n",
          "line 3: malformed row (could not convert string to float: '4x')"),
         ('m1,a,90,1,2,3,4\n"m\n1",a,90,1,2,3,4\nm1,b,90,1,2,3,4\n',
@@ -476,8 +478,10 @@ class TestAgainstRowOracle:
         ("m1,a,90,1,2,3,4\nm1,a,90,1,2,3\x1f,4\n",
          "line 3: malformed row (could not convert string to float: "
          "'3\\x1f')"),
-    ], ids=["short row", "after blank line", "after quoted newline",
-            "earlier row first", "padding numpy strips"])
+    ], ids=["short row", "cell count before numbers",
+            "earlier row before short row", "after blank line",
+            "after quoted newline", "earlier row first",
+            "padding numpy strips"])
     def test_first_bad_row_is_named(self, text, message):
         with pytest.raises(ValueError) as exc:
             parse_events(make_csv([text.rstrip("\n")]))

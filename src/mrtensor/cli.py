@@ -3,7 +3,9 @@
 Thin orchestration over the library: each subcommand reads the text
 formats, calls one library pipeline, and writes artifacts.  Every
 solver knob is a flag, so the command line plus a seed reproduces a
-run byte for byte.
+run byte for byte on the same BLAS build and thread count (the
+objective's final dot product is a BLAS call whose rounding can change
+with the thread count).
 """
 
 from __future__ import annotations

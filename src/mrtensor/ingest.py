@@ -260,9 +260,16 @@ def _replicates(rows: np.ndarray):
     at the first row with minutes not positive and finite, or with team
     or minutes unlike its replicate's first row."""
     ids, teams, minutes = rows["replicate_id"], rows["team"], rows["minutes"]
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    # Only run heads are factorized: an id first appears at one.
+    new_run = np.ones(len(ids), dtype=bool)
+    new_run[1:] = ids[1:] != ids[:-1]
+    runs = np.flatnonzero(new_run)
+    _, first, inverse = np.unique(ids[runs], return_index=True,
+                                  return_inverse=True)
     order = np.argsort(first)
-    first, index = first[order], np.argsort(order)[inverse]
+    first = runs[first[order]]
+    index = np.repeat(np.argsort(order)[inverse],
+                      np.diff(runs, append=len(ids)))
     head = first[index]
     bad_minutes = ~((minutes > 0) & np.isfinite(minutes))
     bad = bad_minutes | (teams != teams[head]) | (minutes != minutes[head])

@@ -47,6 +47,30 @@ def _int64(values, what: str) -> np.ndarray:
     return cast
 
 
+def _checked(shape, indices, counts, least: int):
+    """(shape, indices, counts) as a tuple of ints and int64 arrays;
+    raises ValueError unless the indices are (nnz, ndim) and inside
+    ``shape`` and each has one count of at least ``least`` (0 or 1)."""
+    shape = tuple(int(d) for d in shape)
+    if not shape or min(shape) <= 0:
+        raise ValueError("need one or more modes, all of positive size")
+    if max(shape) > np.iinfo(np.int64).max:
+        raise ValueError("mode sizes must fit in int64")
+    indices = _int64(indices, "indices")
+    counts = _int64(counts, "counts")
+    if indices.ndim != 2 or indices.shape[1] != len(shape):
+        raise ValueError("indices must be (nnz, ndim)")
+    if counts.shape != (indices.shape[0],):
+        raise ValueError("counts must align with indices")
+    if counts.min(initial=least) < least:
+        raise ValueError("stored counts must be positive" if least
+                         else "counts must not be negative")
+    upper = np.asarray(shape, dtype=np.int64)
+    if indices.min(initial=0) < 0 or (indices >= upper).any():
+        raise ValueError("index out of range for shape")
+    return shape, indices, counts
+
+
 @dataclass
 class SparseCountTensor:
     """Canonical sparse nonnegative integer count tensor."""
@@ -58,22 +82,8 @@ class SparseCountTensor:
     _cells: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self.shape = tuple(int(d) for d in self.shape)
-        if not self.shape or min(self.shape) <= 0:
-            raise ValueError("need one or more modes, all of positive size")
-        if max(self.shape) > np.iinfo(np.int64).max:
-            raise ValueError("mode sizes must fit in int64")
-        self.indices = _int64(self.indices, "indices")
-        self.counts = _int64(self.counts, "counts")
-        if self.indices.ndim != 2 or self.indices.shape[1] != len(self.shape):
-            raise ValueError("indices must be (nnz, ndim)")
-        if self.counts.shape != (self.indices.shape[0],):
-            raise ValueError("counts must align with indices")
-        if self.counts.min(initial=1) <= 0:
-            raise ValueError("stored counts must be positive")
-        upper = np.asarray(self.shape, dtype=np.int64)
-        if self.indices.min(initial=0) < 0 or (self.indices >= upper).any():
-            raise ValueError("index out of range for shape")
+        self.shape, self.indices, self.counts = _checked(
+            self.shape, self.indices, self.counts, least=1)
         # Consecutive rows compare at their first differing column.
         step = np.diff(self.indices, axis=0)
         lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
@@ -84,22 +94,31 @@ class SparseCountTensor:
 
     @classmethod
     def from_entries(cls, shape, indices, counts) -> "SparseCountTensor":
-        """Build the canonical form: merge duplicates, sort, drop zeros."""
+        """Build the canonical form: merge duplicates, sort, drop zeros.
+        A negative count or an index outside ``shape`` raises before any
+        merge, where it would cancel or alias another entry's count."""
         indices = _int64(indices, "indices")
-        counts = _int64(counts, "counts")
         if indices.ndim != 2:
             indices = indices.reshape(len(counts), len(shape))
-        order = np.lexsort(indices.T[::-1])
-        indices = indices[order]
-        counts = counts[order]
-        new_group = np.ones(len(indices), dtype=bool)
-        new_group[1:] = (np.diff(indices, axis=0) != 0).any(axis=1)
-        starts = np.flatnonzero(new_group)
-        counts = np.add.reduceat(counts, starts)
-        indices = indices[starts]
+        shape, indices, counts = _checked(shape, indices, counts, least=0)
+        # Mixed-radix keys, most significant first, each packing a run of
+        # columns whose sizes multiply to at most 2**62: they sort as rows.
+        keys, start, size = [], 0, 1
+        for stop, d in enumerate(shape + (2**63,)):
+            if size * d > 2**62 and stop > start:
+                keys.append(np.ravel_multi_index(indices[:, start:stop].T,
+                                                 shape[start:stop]))
+                start, size = stop, 1
+            size *= d
+        keys = np.array(keys)
+        order = np.lexsort(keys[::-1]) if len(keys) > 1 else keys[0].argsort()
+        # A group starts where the sorted keys change (keys are >= 0).
+        starts = np.flatnonzero(
+            np.diff(keys[:, order], axis=1, prepend=-1).any(axis=0))
+        counts = np.add.reduceat(counts[order], starts)
         keep = counts != 0
-        indices, counts = indices[keep], counts[keep]
-        return cls(tuple(shape), indices, counts)
+        return cls(shape, indices.take(order[starts[keep]], axis=0),
+                   counts[keep])
 
     @property
     def ndim(self) -> int:
@@ -158,9 +177,14 @@ def write_tensor(tensor: SparseCountTensor, path) -> None:
             f"{FORMAT_HEADER} modes={tensor.ndim} shape={shape} "
             f"nnz={tensor.nnz}\n"
         )
-        line = " ".join(["%d"] * (tensor.ndim + 1)) + "\n"
-        rows = np.column_stack([tensor.indices + 1, tensor.counts])
-        handle.write(line * tensor.nnz % tuple(rows.ravel().tolist()))
+        # Each distinct cell's "i_1 ... i_P " prefix is formatted once.
+        cells, inverse = tensor.cell_groups()
+        prefixes = ("%d " * (tensor.ndim - 1) + "\n") * len(cells) % tuple(
+            (cells + 1).ravel().tolist())
+        prefixes = np.array(prefixes.split("\n"), dtype=object)
+        rows = np.column_stack([prefixes[inverse], tensor.indices[:, -1] + 1,
+                                tensor.counts])
+        handle.write("%s%d %d\n" * tensor.nnz % tuple(rows.ravel().tolist()))
 
 
 def _key_values(words, kinds: dict, message: str) -> list:

@@ -496,3 +496,20 @@ def write_tensor_rows(tensor, handle):
     )
     for row, c in zip(tensor.indices.tolist(), tensor.counts.tolist()):
         handle.write(" ".join(str(v + 1) for v in row) + f" {c}\n")
+
+
+def canonical_entries(shape, indices, counts):
+    """(indices, counts) of ``SparseCountTensor.from_entries`` by a
+    lexicographic sort of every column: rows in ascending order, equal
+    rows merged by summing their counts, zero sums dropped."""
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1, len(shape))
+    counts = np.asarray(counts, dtype=np.int64)
+    order = np.lexsort(indices.T[::-1])
+    indices, counts = indices[order], counts[order]
+    new_group = np.ones(len(indices), dtype=bool)
+    new_group[1:] = (np.diff(indices, axis=0) != 0).any(axis=1)
+    starts = np.flatnonzero(new_group)
+    counts = np.add.reduceat(counts, starts)
+    indices = indices[starts]
+    keep = counts != 0
+    return indices[keep], counts[keep]

@@ -496,3 +496,41 @@ class TestAgainstRowOracle:
             with pytest.raises(ValueError) as exc:
                 parse(io.StringIO(src), FieldGeometry())
             assert str(exc.value) == "line 2: malformed row (no team cell)"
+
+
+# Ids a, b, a, c, b: every row is its own run of one id.
+INTERLEAVED = ["a,t1,90,1,2,3,4", "b,t2,80,5,6,7,8", "a,t1,90,9,9,9,9",
+               "c,t1,70,1,1,1,1", "b,t2,80,2,2,2,2"]
+
+
+class TestReplicateRuns:
+    """Replicate ids are factorized one run of equal ids at a time, but
+    each row is still checked against its replicate's first row."""
+
+    @pytest.mark.parametrize("rows", [INTERLEAVED, []],
+                             ids=["interleaved", "header only"])
+    def test_same_table_as_row_oracle(self, rows):
+        got = _package(make_csv(rows), FieldGeometry())
+        want = parse_events_rows(make_csv(rows), FieldGeometry())
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_interleaved_ids_in_first_appearance_order(self):
+        reps, index, _ = _package(make_csv(INTERLEAVED), FieldGeometry())
+        assert reps == [("a", "t1", 90.0), ("b", "t2", 80.0),
+                        ("c", "t1", 70.0)]
+        np.testing.assert_array_equal(index, [0, 1, 0, 2, 1])
+
+    @pytest.mark.parametrize("rows, message", [
+        (["a,t1,90,1,2,3,4", "a,t1,90,5,6,7,8", "a,t2,90,9,9,9,9"],
+         "line 4: replicate 'a' redeclared with different team or minutes"),
+        (["b,t1,80,1,2,3,4", "a,t1,90,1,2,3,4", "a,t1,90,5,6,7,8",
+          "a,t1,91,9,9,9,9", "a,t2,90,1,1,1,1"],
+         "line 5: replicate 'a' redeclared with different team or minutes"),
+    ], ids=["team", "minutes"])
+    def test_conflict_inside_a_run_is_named_at_its_row(self, rows, message):
+        for parse in (parse_events, parse_events_rows):
+            with pytest.raises(ValueError) as exc:
+                parse(make_csv(rows), FieldGeometry())
+            assert str(exc.value) == message

@@ -23,7 +23,8 @@ from mrtensor.sptensor import (
     write_tensor,
 )
 from oracles import (
-    dense_reconstruct, densify, intensity_at, omega_matrix, write_tensor_rows,
+    canonical_entries, dense_reconstruct, densify, intensity_at, omega_matrix,
+    write_tensor_rows,
 )
 
 
@@ -77,6 +78,20 @@ class TestCanonicalForm:
         t = SparseCountTensor.from_entries((3,), [], [])
         assert t.nnz == 0
         assert t.indices.shape == (0, 1)
+
+    def test_from_entries_rejects_negative_counts_before_merging(self):
+        # The -3 would cancel the 3 at (0, 1) and leave one entry.
+        for idx, counts in (([[0, 1], [0, 1], [1, 2]], [3, -3, 2]),
+                            ([[0, 1]], [-1])):
+            with pytest.raises(ValueError,
+                               match="counts must not be negative"):
+                SparseCountTensor.from_entries((2, 3), idx, counts)
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [0, 5]], [[1, 1], [2, -3]]])
+    def test_from_entries_rejects_rows_that_alias_a_cell(self, rows):
+        # In shape (2, 4) both bad rows pack to the same key as (1, 1).
+        with pytest.raises(ValueError, match="index out of range for shape"):
+            SparseCountTensor.from_entries((2, 4), rows, [1, 1])
 
     def test_counters(self):
         t = small_tensor()
@@ -146,10 +161,38 @@ class TestCanonicalForm:
 
 
 @st.composite
+def raw_entries(draw):
+    """(shape, indices, counts) for ``from_entries``: 1-8 modes, some so
+    large that the sizes multiply past 2**62, rows drawn with repeats
+    from a few cells that share leading indices, counts 0-5, nnz 0-30."""
+    size = st.one_of(st.integers(1, 6), st.sampled_from(
+        [2**31, 2**40 + 3, 2**62, 2**63 - 1]))
+    shape = tuple(draw(st.lists(size, min_size=1, max_size=8)))
+    cell = st.tuples(*(st.one_of(st.integers(0, min(d, 3) - 1),
+                                 st.integers(0, d - 1)) for d in shape))
+    cells = draw(st.lists(cell, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(cells), max_size=30))
+    counts = draw(st.lists(st.integers(0, 5), min_size=len(rows),
+                           max_size=len(rows)))
+    indices = np.array(rows, dtype=np.int64).reshape(-1, len(shape))
+    return shape, indices, counts
+
+
+class TestFromEntriesOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(raw_entries())
+    def test_matches_lexsort_oracle(self, entries):
+        t = SparseCountTensor.from_entries(*entries)
+        indices, counts = canonical_entries(*entries)
+        assert np.array_equal(t.indices, indices)
+        assert np.array_equal(t.counts, counts)
+
+
+@st.composite
 def count_tensors(draw):
-    """Canonical tensors of 1-5 modes plus the replicate mode, nnz 0-40,
+    """Canonical tensors of 0-5 modes plus the replicate mode, nnz 0-40,
     with multi-digit indices and counts."""
-    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=2, max_size=6)))
+    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=6)))
     cell = st.tuples(*(st.integers(0, d - 1) for d in shape))
     entries = draw(st.lists(cell, max_size=40, unique=True))
     counts = draw(st.lists(st.integers(1, 2**40), min_size=len(entries),

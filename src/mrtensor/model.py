@@ -47,6 +47,7 @@ class CpBtdModel:
     omega: np.ndarray
     upsilon: np.ndarray
     _offsets: np.ndarray = field(init=False, repr=False)
+    _block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
@@ -55,6 +56,7 @@ class CpBtdModel:
         self._offsets = np.concatenate(
             [[0], np.cumsum(np.asarray(self.ranks, dtype=np.int64))]
         )
+        self._block = np.repeat(np.arange(len(self.ranks)), self.ranks)
         total = int(self._offsets[-1])
         self.factors = [np.ascontiguousarray(f, dtype=np.float64) for f in self.factors]
         self.omega = np.ascontiguousarray(self.omega, dtype=np.float64)
@@ -104,11 +106,12 @@ class CpBtdModel:
 
     def block_of_component(self) -> np.ndarray:
         """Term index of every flat component column."""
-        return np.repeat(np.arange(self.n_terms), self.ranks)
+        return self._block.copy()
 
     def term_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-term sums of a flat per-component array."""
-        return np.array([values[self.block(h)].sum() for h in range(self.n_terms)])
+        ends = self._offsets.tolist()
+        return np.array([values[s:e].sum() for s, e in zip(ends, ends[1:])])
 
     def term_usage(self) -> np.ndarray:
         """Total usage (expected events) per term: row sums of upsilon."""
@@ -116,7 +119,7 @@ class CpBtdModel:
 
     def component_scale(self) -> np.ndarray:
         """Expected events per flat component: omega * own term's usage."""
-        return self.omega * self.term_usage()[self.block_of_component()]
+        return self.omega * self.term_usage()[self._block]
 
     def copy(self) -> "CpBtdModel":
         return CpBtdModel(
@@ -125,6 +128,14 @@ class CpBtdModel:
             self.omega.copy(),
             self.upsilon.copy(),
         )
+
+    def _trusted_copy(self) -> "CpBtdModel":
+        """``copy()`` of a model already validated, without validating it
+        again: the arrays are copied, the structure is shared."""
+        out = object.__new__(CpBtdModel)
+        vars(out).update(vars(self), factors=[f.copy() for f in self.factors],
+                         omega=self.omega.copy(), upsilon=self.upsilon.copy())
+        return out
 
 
 def motif_at_scale(model: CpBtdModel, term: int, scale: int) -> np.ndarray:
@@ -172,20 +183,24 @@ def effective_terms(model: CpBtdModel) -> int:
 
 
 def _live(model: CpBtdModel):
-    """(terms, components, factors, mixing) at live width: the live
-    terms (usage > 0) and components (``component_scale() > 0``), each
-    factor's live columns, and the mixing matrix, each weight in its
-    term's column.  A dead one has mass 0: it adds to no intensity."""
-    terms = np.flatnonzero(model.term_usage() > 0)
-    components = np.flatnonzero(model.component_scale() > 0)
+    """(terms, components, factors, mixing, usage, scale) at live width:
+    the live terms (usage > 0) and components (scale > 0), each factor's
+    live columns, and the mixing matrix, each weight in its term's
+    column; then the ``term_usage()`` and ``component_scale()`` they
+    come from.  A dead one has mass 0: it adds to no intensity."""
+    usage = model.term_usage()
+    scale = model.omega * usage[model._block]
+    terms = np.flatnonzero(usage > 0)
+    components = np.flatnonzero(scale > 0)
     mixing = np.zeros((len(components), len(terms)))
-    column = np.searchsorted(terms, model.block_of_component()[components])
+    column = np.searchsorted(terms, model._block[components])
     mixing[np.arange(len(components)), column] = model.omega[components]
     factors = [phi[:, components] for phi in model.factors]
-    return terms, components, factors, mixing
+    return terms, components, factors, mixing, usage, scale
 
 
-def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
+def objective(model: CpBtdModel, tensor: SparseCountTensor,
+              live=None) -> float:
     """Poisson deviance core: sum of intensities minus count-weighted logs.
 
     The linear term is the exact sum of the intensity over every cell
@@ -193,7 +208,8 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
     stochasticity constraints).  A zero intensity at a stored positive
     count makes the objective +inf.
 
-    Every sum runs over the live terms and components (``_live``) only.
+    Every sum runs over the live terms and components only: ``live`` is
+    ``_live(model)``, computed here unless the caller has it.
     Memory: the intensities are one nnz vector filled a row block at a
     time, so the scratch is two gathered blocks of at most
     ``_BLOCK_ELEMENTS`` entries each, never an nnz x H array.
@@ -204,9 +220,10 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor) -> float:
         raise ValueError("replicate counts disagree")
     if tensor.shape[:-1] != model.mode_sizes:
         raise ValueError("mode sizes disagree")
-    terms, components, factors, mixing = _live(model)
+    terms, components, factors, mixing, _, scale = (
+        _live(model) if live is None else live)
     colsum = np.prod([phi.sum(axis=0) for phi in factors], axis=0)
-    linear = float(colsum @ model.component_scale()[components])
+    linear = float(colsum @ scale[components])
     # Mix live components into live terms once per cell, then dot each
     # entry's cell row with its replicate's scores.
     cells, inverse = tensor.cell_groups()

@@ -17,6 +17,11 @@ design the coefficient total is conserved at sum(x) on every sweep.
 Each column's rows form one contiguous span of the stacked design; a
 sweep reads it once in cache-sized blocks of spans or span pieces, with
 one BLAS gemv per span or piece for intensities and one for numerators.
+The public solver, ``mm_poisson_regression_group``, checks its input
+and lays out the spans, then runs the one sweep loop, ``_mm_sweeps``.
+A fit calls that loop directly on the designs it built, so it skips
+the checks; it lays out each block's spans once per fit and its
+buffers once per live width.
 
 Group shrinkage augments the objective with beta * sum_k log(group_k
 sum + epsilon), a concave log-sum penalty.  Majorizing the logs by
@@ -253,9 +258,8 @@ def mm_poisson_regression_group(
         raise ValueError("designs must be finite and nonnegative")
     if not (x.min(initial=1) > 0 and x.max(initial=0) < np.inf):
         raise ValueError("counts must be positive and finite")
-    dead_rows = row_sums <= 0
-    if dead_rows.any():
-        j = int(np.flatnonzero(dead_rows)[0])
+    if (row_sums <= 0).any():
+        j = int(np.flatnonzero(row_sums <= 0)[0])
         raise ValueError(
             f"infeasible row: observation {j} has a positive count "
             "but an all-zero design row"
@@ -268,44 +272,67 @@ def mm_poisson_regression_group(
         raise ValueError(
             "segment ids must be sorted integers in [0, n_columns)"
         )
-    # The iterate is held transposed, one contiguous row per column, and
-    # updated in place, so the views below stay valid across sweeps and
-    # a sweep allocates no array per entry.
-    bt = np.array(B.T, order="C")
-    lam = np.empty(len(x))
-    ratio = np.empty(len(x))
-    numer = np.zeros_like(bt)
-    new, delta, floor = (np.empty_like(bt) for _ in range(3))
-    # Row blocks of at most `step` rows: a run of whole spans, or one
-    # piece of a longer span; later pieces add to the first's numerator.
-    step = _block_rows(bt.shape[1])
+    return _mm_sweeps(design, x, B, _layout(
+        _spans(segment), B.shape[1], B.shape[0]), beta, tol, max_iter)
+
+
+def _spans(segment: np.ndarray) -> list[tuple[int, int, int]]:
+    """(column, first row, end row) of each run of equal sorted ids."""
     first = np.flatnonzero(np.diff(segment, prepend=-1))
-    ends = first[1:].tolist() + [len(segment)]
+    return list(zip(segment[first].tolist(), first.tolist(),
+                    [*first[1:].tolist(), len(segment)]))
+
+
+def _layout(spans, n_columns: int, width: int):
+    """A sweep's coefficient-side buffers at one width: (bt, numer, new,
+    delta, floor, blocks).  The iterate ``bt`` is held transposed, one
+    contiguous row per column, and updated in place, so the views in
+    ``blocks`` stay valid across sweeps and solves.  ``blocks`` are the
+    row blocks of at most ``_block_rows(width)`` rows, each a run of
+    whole spans or one piece of a longer span: (first row, end row,
+    pieces), a piece (first row, end row, coefficients, numerator,
+    whether it adds to an earlier piece's numerator)."""
+    bt = np.empty((n_columns, width))
+    numer = np.zeros_like(bt)
+    step = _block_rows(width)
     blocks = []
-    for c, s, e in zip(segment[first].tolist(), first.tolist(), ends):
+    for c, s, e in spans:
         for q in range(s, e, step):
             r = min(q + step, e)
             if not blocks or r - blocks[-1][0] > step:
                 blocks.append([q, r, []])
             blocks[-1][1] = r
-            blocks[-1][2].append(
-                (design[q:r], bt[c], lam[q:r], ratio[q:r], numer[c], q > s))
+            blocks[-1][2].append((q, r, bt[c], numer[c], q > s))
+    return (bt, numer, *(np.empty_like(bt) for _ in range(3)), blocks)
+
+
+def _mm_sweeps(design, x, start, layout, beta, tol, max_iter):
+    """The sweeps of ``mm_poisson_regression_group`` on an instance it
+    does not check: ``layout`` is ``_layout`` of the instance's spans at
+    ``start``'s width, ``x`` float64.  Returns (B, sweeps)."""
+    bt, numer, new, delta, floor, blocks = layout
+    bt[...] = start.T
+    lam, ratio = np.empty(len(x)), np.empty(len(x))
+    work = [(x[s:e], lam[s:e], ratio[s:e],
+             [(rows.dot, rows, b, lam[q:r], ratio[q:r].dot, out, later)
+              for q, r, b, out, later in pieces for rows in (design[q:r],)])
+            for s, e, pieces in blocks]
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        for s, e, views in blocks:
-            for rows, b, lam_c, _, _, _ in views:
-                rows.dot(b, out=lam_c)
-            if lam[s:e].min() <= 0:
+        for x_b, lam_b, ratio_b, views in work:
+            for dot, _, b, lam_c, _, _, _ in views:
+                dot(b, lam_c)
+            if lam_b.min() <= 0:
                 raise ValueError(
                     "zero intensity at a positive count; the iterate "
                     "cannot support the data"
                 )
-            np.divide(x[s:e], lam[s:e], out=ratio[s:e])
-            for rows, _, _, ratio_c, out, later in views:
+            np.divide(x_b, lam_b, out=ratio_b)
+            for _, rows, _, _, ratio_dot, out, later in views:
                 if later:
-                    out += ratio_c.dot(rows)
+                    out += ratio_dot(rows)
                 else:
-                    ratio_c.dot(rows, out=out)
+                    ratio_dot(rows, out)
         np.multiply(bt, numer, out=new)
         new *= 1.0 / (1.0 + beta / (SolverConfig.epsilon + bt.sum(0)))
         np.abs(np.subtract(new, bt, out=delta), out=delta)
@@ -314,7 +341,8 @@ def mm_poisson_regression_group(
         bt[...] = new
         if delta.max(initial=0) < tol:
             break
-    return np.ascontiguousarray(bt.T), sweeps
+    # A copy, never a view: the fit reuses bt for the block's next solve.
+    return bt.T.copy(), sweeps
 
 
 def initialize(
@@ -348,9 +376,9 @@ def initialize(
 
 
 def block_design(
-    model: CpBtdModel, tensor: SparseCountTensor, mode: int
+    model: CpBtdModel, tensor: SparseCountTensor, mode: int, live=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(design, counts, segment, start, live) of one block's regressions.
+    """(design, counts, segment, start, columns) of one block's regressions.
 
     One row per stored entry, in ``mode_order(mode)``, gathered from its
     cell's factor-row product; ``segment`` is the entry's index along
@@ -359,7 +387,8 @@ def block_design(
     scores as coefficients.  Any other mode leaves its own factor out,
     scales rows by the replicate's per-component scores psi, and solves
     for A = Phi diag(tau), tau the component masses.  Columns are the
-    live terms or components only, indexed by ``live``.
+    live terms or components only, indexed by ``columns``; ``live`` is
+    ``_live(model)``, computed here unless the caller has it.
 
     Memory: the design is the one nnz x live-columns float64 array a
     block holds.  A mode block fills it a row block at a time from the
@@ -369,13 +398,14 @@ def block_design(
     order = tensor.mode_order(mode)
     segment = tensor.indices[order, mode]
     cells, inverse = tensor.cell_groups()
-    terms, components, factors, mixing = _live(model)
+    terms, components, factors, mixing, usage, scale = (
+        _live(model) if live is None else live)
     if mode == tensor.ndim - 1:
         mixed = factor_rows(cells, factors) @ mixing
         return (mixed[inverse[order]], tensor.counts[order], segment,
                 model.upsilon[terms], terms)
-    term = model.block_of_component()[components]
-    psi = (model.upsilon[term] / model.term_usage()[term, None]).T
+    term = model._block[components]
+    psi = (model.upsilon[term] / usage[term, None]).T
     rows = factor_rows(cells, factors, skip=mode)
     design = np.empty((tensor.nnz, len(components)))
     for s in _row_blocks(tensor.nnz, len(components)):
@@ -384,38 +414,68 @@ def block_design(
         # clips nothing, since every index is a valid cell.
         np.take(rows, inverse[entries], axis=0, out=design[s], mode="clip")
         design[s] *= psi[tensor.indices[entries, -1]]
-    start = (factors[mode] * model.component_scale()[components]).T
+    start = (factors[mode] * scale[components]).T
     return design, tensor.counts[order], segment, start, components
 
 
 def _solve_block(model, tensor, mode, config):
-    """(coefficients, live, sweeps) of a block solved on its live
-    columns: one coefficient row per index in ``live``."""
-    *instance, live = block_design(model, tensor, mode)
+    """(coefficients, columns, sweeps) of a block solved on its live
+    columns: one coefficient row per index in ``columns``."""
+    *instance, columns = block_design(model, tensor, mode)
     coef, sweeps = mm_poisson_regression_group(
         *instance, beta=config.shrinkage_strength(tensor.nnz),
         max_iter=config.max_inner)
-    return coef, live, sweeps
+    return coef, columns, sweeps
+
+
+class _FitState:
+    """What one fit reuses from block to block: ``live``, the
+    ``_live`` of the fit's current model; each block's spans, from its
+    first solve; and each block's sweep layout at its last live width."""
+
+    def __init__(self, live):
+        self.live = live
+        self.spans, self.layouts = {}, {}
+
+    def solve(self, model, tensor, mode, config):
+        """``_solve_block`` for the current model.  The design is built
+        here, so the sweeps run without the public entry's checks."""
+        design, counts, segment, start, columns = block_design(
+            model, tensor, mode, self.live)
+        layout = self.layouts.get(mode)
+        if layout is None or layout[0].shape[1] != len(columns):
+            if mode not in self.spans:
+                self.spans[mode] = _spans(segment)
+            layout = self.layouts[mode] = _layout(
+                self.spans[mode], tensor.shape[mode], len(columns))
+        coef, sweeps = _mm_sweeps(
+            design, counts.astype(np.float64), start, layout,
+            config.shrinkage_strength(tensor.nnz), config.inner_tol,
+            config.max_inner)
+        return coef, columns, sweeps
 
 
 def update_scores(
-    model: CpBtdModel, tensor: SparseCountTensor, config: SolverConfig
+    model: CpBtdModel, tensor: SparseCountTensor, config: SolverConfig,
+    fit: _FitState | None = None,
 ) -> tuple[CpBtdModel, int]:
     """Refit every replicate's usage scores at fixed motifs.
 
     The replicate subproblems are independent Poisson regressions on
     the sampled design rows; with shrinkage on they share the log-sum
-    penalty over each term's row of scores.
+    penalty over each term's row of scores.  ``fit`` is the state of
+    the fit whose current model is ``model``, if one calls.
     """
-    out = model.copy()
-    scores, terms, sweeps = _solve_block(
+    scores, terms, sweeps = (_solve_block if fit is None else fit.solve)(
         model, tensor, tensor.ndim - 1, config)
+    out = model._trusted_copy()
     out.upsilon[terms] = scores
     return out, sweeps
 
 
 def update_mode(
-    model: CpBtdModel, tensor: SparseCountTensor, mode: int, config: SolverConfig
+    model: CpBtdModel, tensor: SparseCountTensor, mode: int,
+    config: SolverConfig, fit: _FitState | None = None,
 ) -> tuple[CpBtdModel, int]:
     """Refit one mode's profiles (and the mixing weights) in mass form.
 
@@ -425,20 +485,23 @@ def update_mode(
     the intensity function after the split equals the one the
     regression optimized.  A component left at zero mass keeps its last
     profile; a term left at zero mass (as every zero-usage term is)
-    keeps its mixing weights and gets zero scores.
+    keeps its mixing weights and gets zero scores.  ``fit`` is as in
+    ``update_scores``.
     """
     if not 0 <= mode < model.n_modes:
         raise ValueError("mode out of range")
-    coef, components, sweeps = _solve_block(model, tensor, mode, config)
+    coef, components, sweeps = (_solve_block if fit is None else fit.solve)(
+        model, tensor, mode, config)
+    usage = model.term_usage() if fit is None else fit.live[4]
     rho = np.zeros(model.total_rank)
     rho[components] = coef.sum(axis=1)
     mass = model.term_sums(rho)
     live = rho > 0
-    term_mass = mass[model.block_of_component()]
-    out = model.copy()
+    term_mass = mass[model._block]
+    out = model._trusted_copy()
     out.factors[mode][:, live] = coef[live[components]].T / rho[live]
     np.divide(rho, term_mass, out=out.omega, where=term_mass > 0)
-    out.upsilon *= np.divide(mass, model.term_usage(), where=mass > 0,
+    out.upsilon *= np.divide(mass, usage, where=mass > 0,
                              out=np.zeros(model.n_terms))[:, None]
     return out, sweeps
 
@@ -448,21 +511,22 @@ def penalized_objective(
     tensor: SparseCountTensor,
     beta: float,
     epsilon: float,
+    live=None,
 ) -> float:
     """Monitored objective: deviance core plus every block's penalty.
 
     The mode-block penalties all equal the log-sum of the component
     masses when the model is in canonical (column-stochastic) form, so
-    they enter once per mode.
+    they enter once per mode.  ``live`` is ``_live(model)``, computed
+    here unless the caller has it.
     """
-    f = objective(model, tensor)
-    usage = model.term_usage()
-    tau = model.component_scale()
+    live = _live(model) if live is None else live
+    usage, tau = live[4:]
     pen = float(
         np.log(usage + epsilon).sum()
         + model.n_modes * np.log(tau + epsilon).sum()
     )
-    return f + beta * pen
+    return objective(model, tensor, live) + beta * pen
 
 
 def _settled(trace: list[float], tol: float) -> bool:
@@ -483,11 +547,16 @@ def fit_block_gs(
     ``max_outer`` is reached.  A block update that fails numerically,
     or a non-finite objective, raises SolverError carrying the partial
     report.
+
+    Each model's ``_live`` is evaluated once, for its objective and,
+    once accepted, for the next block's design and write-back.
     """
     t0 = time.perf_counter()
     model = initialize(config, tensor.shape, float(tensor.total))
     beta = config.shrinkage_strength(tensor.nnz)
-    current = penalized_objective(model, tensor, beta, config.epsilon)
+    fit = _FitState(_live(model))
+    current = penalized_objective(model, tensor, beta, config.epsilon,
+                                  fit.live)
     if not math.isfinite(current):
         raise SolverError("non-finite objective at initialization",
                           model=model)
@@ -505,17 +574,19 @@ def fit_block_gs(
         worst = current
         for block, update, args in blocks:
             try:
-                trial, sweeps = update(model, tensor, *args, config)
+                trial, sweeps = update(model, tensor, *args, config, fit)
             except ValueError as exc:
                 raise SolverError(f"fit aborted in the {block} block: {exc}",
                                   model=model, report=ended()) from exc
             inner_total += sweeps
-            value = penalized_objective(trial, tensor, beta, config.epsilon)
+            trial_live = _live(trial)
+            value = penalized_objective(trial, tensor, beta, config.epsilon,
+                                        trial_live)
             if not math.isfinite(value):
                 raise SolverError("fit aborted on a non-finite objective",
                                   model=trial, report=ended())
             if value <= current:
-                model, current = trial, value
+                model, current, fit.live = trial, value, trial_live
                 accepted += 1
             else:
                 report.rejected_blocks += 1

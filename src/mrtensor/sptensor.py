@@ -50,7 +50,8 @@ def _int64(values, what: str) -> np.ndarray:
 def _checked(shape, indices, counts, least: int):
     """(shape, indices, counts) as a tuple of ints and int64 arrays;
     raises ValueError unless the indices are (nnz, ndim) and inside
-    ``shape`` and each has one count of at least ``least`` (0 or 1)."""
+    ``shape`` and each has one count of at least ``least`` (0 or 1),
+    and the counts sum within int64, which bounds every merged sum."""
     shape = tuple(int(d) for d in shape)
     if not shape or min(shape) <= 0:
         raise ValueError("need one or more modes, all of positive size")
@@ -65,6 +66,10 @@ def _checked(shape, indices, counts, least: int):
     if counts.min(initial=least) < least:
         raise ValueError("stored counts must be positive" if least
                          else "counts must not be negative")
+    # Only counts this large can overflow; their exact sum decides.
+    if (counts.max(initial=0) > (2**63 - 1) // max(1, len(counts))
+            and sum(counts.tolist()) > 2**63 - 1):
+        raise ValueError("the counts' total overflows int64")
     upper = np.asarray(shape, dtype=np.int64)
     if indices.min(initial=0) < 0 or (indices >= upper).any():
         raise ValueError("index out of range for shape")
@@ -99,7 +104,7 @@ class SparseCountTensor:
         merge, where it would cancel or alias another entry's count."""
         indices = _int64(indices, "indices")
         if indices.ndim != 2:
-            indices = indices.reshape(len(counts), len(shape))
+            indices = indices.reshape(np.size(counts), len(shape))
         shape, indices, counts = _checked(shape, indices, counts, least=0)
         # Mixed-radix keys, most significant first, each packing a run of
         # columns whose sizes multiply to at most 2**62: they sort as rows.
@@ -235,13 +240,13 @@ def factor_rows(
     with no ``skip`` the product runs over every factor.  This is the
     row-sampled Khatri-Rao product (columnwise), never densified.
     """
-    n = len(indices)
-    width = factors[0].shape[1]
-    out = np.ones((n, width))
-    for p, phi in enumerate(factors):
-        if p == skip:
-            continue
-        out *= phi[indices[:, p], :]
+    kept = [p for p in range(len(factors)) if p != skip]
+    if not kept:
+        return np.ones((len(indices), factors[0].shape[1]))
+    # Starting from the first rows instead of ones is exact: x * 1.0 == x.
+    out = factors[kept[0]][indices[:, kept[0]], :]
+    for p in kept[1:]:
+        out *= factors[p][indices[:, p], :]
     return out
 
 

@@ -187,7 +187,7 @@ class TestFit:
     ):
         tensor = tmp_path / "t.txt"
         main(["encode", str(events_csv), "-S", "1", "--out", str(tensor)])
-        inner = solver.mm_poisson_regression_group
+        inner = solver._mm_sweeps
         calls = []
 
         def fail_second(*args, **kwargs):
@@ -196,7 +196,7 @@ class TestFit:
                 raise ValueError("zero intensity at a positive count")
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "mm_poisson_regression_group", fail_second)
+        monkeypatch.setattr(solver, "_mm_sweeps", fail_second)
         model = tmp_path / "m.txt"
         report = tmp_path / "r.csv"
         code = main([

@@ -16,7 +16,8 @@ import pytest
 
 from mrtensor import sptensor
 from mrtensor.model import CpBtdModel, objective
-from mrtensor.solver import block_design, mm_poisson_regression_group
+from mrtensor.solver import (
+    SolverConfig, block_design, fit_block_gs, mm_poisson_regression_group)
 from mrtensor.sptensor import SparseCountTensor
 from oracles import block_design_one_shot, intensities_one_shot
 
@@ -143,6 +144,21 @@ class TestMemory:
             _, peak = traced_peak(lambda: mm_poisson_regression_group(
                 *instance, beta=1.0, max_iter=3))
             assert peak <= 8 * tensor.nnz * 8, (mode, peak)
+
+    def test_fit_holds_no_second_design(self):
+        # One outer iteration of a fit at full width: one design at a
+        # time, the cell rows, and a few nnz-long vectors besides.
+        model, tensor = dense_case()
+        cells, _ = tensor.cell_groups()
+        for mode in range(tensor.ndim):
+            tensor.mode_order(mode)
+        config = SolverConfig(n_terms=model.n_terms, rank=4, max_outer=1,
+                              max_inner=3)
+        _, peak = traced_peak(lambda: fit_block_gs(tensor, config))
+        width = model.total_rank
+        bound = (1.25 * tensor.nnz * width * 8 + len(cells) * width * 8
+                 + 8 * tensor.nnz * 8)
+        assert peak <= bound, peak
 
     def test_objective_builds_no_entry_by_term_array(self):
         model, tensor = dense_case()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrtensor import solver
-from mrtensor.model import effective_terms, objective
+from mrtensor.model import _live, effective_terms, objective
 from mrtensor.solver import (
     FitReport,
     SolverConfig,
@@ -406,7 +406,7 @@ class TestFitBlockGs:
         # last accepted model and the trace so far.
         rng = np.random.default_rng(79)
         t = random_tensor(rng)
-        inner = solver.mm_poisson_regression_group
+        inner = solver._mm_sweeps
         calls = []
 
         def fail_second(*args, **kwargs):
@@ -415,7 +415,7 @@ class TestFitBlockGs:
                 raise ValueError("zero intensity at a positive count")
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "mm_poisson_regression_group", fail_second)
+        monkeypatch.setattr(solver, "_mm_sweeps", fail_second)
         with pytest.raises(SolverError, match="mode 0 block") as info:
             fit_block_gs(t, small_config())
         err = info.value
@@ -443,6 +443,83 @@ class TestFitBlockGs:
         strong = small_config(n_terms=4, rank=1, beta=0.1, max_outer=60)
         _, report = fit_block_gs(t, strong)
         assert report.effective_terms[-1] < 4
+
+
+def reference_fit(tensor, config):
+    """``fit_block_gs`` as a plain loop over the standalone block
+    updates: (model, trace, rejected blocks, stop reason)."""
+    def settled(before, after):
+        return abs(before - after) < config.outer_tol * max(1.0, abs(before))
+
+    model = initialize(config, tensor.shape, float(tensor.total))
+    beta = config.shrinkage_strength(tensor.nnz)
+    trace = [penalized_objective(model, tensor, beta, config.epsilon)]
+    rejected = 0
+    for _ in range(config.max_outer):
+        current, accepted, worst = trace[-1], 0, trace[-1]
+        for mode in [None, *range(model.n_modes)]:
+            trial, _ = (update_scores(model, tensor, config) if mode is None
+                        else update_mode(model, tensor, mode, config))
+            value = penalized_objective(trial, tensor, beta, config.epsilon)
+            if value <= current:
+                model, current, accepted = trial, value, accepted + 1
+            else:
+                rejected, worst = rejected + 1, max(worst, value)
+        trace.append(current)
+        if not accepted:
+            stop = "converged" if settled(current, worst) else "stalled"
+            return model, trace, rejected, stop
+        if settled(trace[-2], trace[-1]):
+            return model, trace, rejected, "converged"
+    return model, trace, rejected, "max_outer"
+
+
+class TestFitEqualsReferenceLoop:
+    """The fit reuses state across block attempts; it must give what
+    the standalone updates give, bit for bit."""
+
+    @pytest.mark.parametrize("seed, n_terms, rank, beta, max_inner, stop", [
+        (70, 4, 2, 5e-2, 20, "converged"),  # columns die mid-fit
+        (71, 4, 2, 5e-2, 20, "stalled"),
+        (73, 3, 2, 1e-1, 5, "max_outer"),  # ends with one live term
+        (79, 1, 1, 1e-1, 5, "converged"),  # one term, one component
+    ])
+    def test_bit_identical(self, seed, n_terms, rank, beta, max_inner, stop):
+        t = random_tensor(np.random.default_rng(seed), n_entries=40)
+        cfg = small_config(n_terms=n_terms, rank=rank, beta=beta,
+                           max_inner=max_inner, max_outer=30)
+        model, report = fit_block_gs(t, cfg)
+        want, trace, rejected, want_stop = reference_fit(t, cfg)
+        for a, b in zip([*model.factors, model.omega, model.upsilon],
+                        [*want.factors, want.omega, want.upsilon]):
+            assert np.array_equal(a, b)
+        assert report.objective == trace
+        assert (report.stop_reason, report.rejected_blocks) == (
+            want_stop, rejected)
+        # Each case covers what it is here for.
+        assert report.stop_reason == stop
+        live = int((model.component_scale() > 0).sum())
+        if n_terms > 1:
+            assert report.rejected_blocks > 0 and live < cfg.n_terms * rank
+        if seed == 73:
+            assert (model.term_usage() > 0).sum() == 1
+
+    def test_block_result_outlives_the_next_solve(self):
+        # With one live column the transposed iterate is already
+        # contiguous; the result must still be a copy, since the fit
+        # solves the block's next instance in the same buffers.
+        t = random_tensor(np.random.default_rng(79), n_entries=40)
+        cfg = small_config(n_terms=1, rank=1, beta=1e-1, max_inner=5)
+        first = initialize(cfg, t.shape, float(t.total))
+        second = initialize(small_config(n_terms=1, rank=1, seed=1),
+                            t.shape, float(t.total))
+        for mode in range(t.ndim):
+            fit = solver._FitState(_live(first))
+            coef = fit.solve(first, t, mode, cfg)[0]
+            kept = coef.copy()
+            fit.live = _live(second)
+            fit.solve(second, t, mode, cfg)
+            assert np.array_equal(coef, kept)
 
 
 class TestFitEm:

@@ -93,6 +93,22 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="index out of range for shape"):
             SparseCountTensor.from_entries((2, 4), rows, [1, 1])
 
+    def test_from_entries_rejects_a_total_past_int64(self):
+        # Merged duplicates and a stored total past 2**63 - 1 would wrap.
+        for idx, counts in (([[0]] * 4, [2**62] * 4), ([[0]] * 2, [2**62] * 2),
+                            ([[1, 1], [0, 0]], [2**63 - 1, 1])):
+            shape = (2, 3)[:len(idx[0])]
+            with pytest.raises(ValueError, match="total overflows int64"):
+                SparseCountTensor.from_entries(shape, idx, counts)
+        with pytest.raises(ValueError, match="total overflows int64"):
+            SparseCountTensor((2, 3), [[0, 0], [1, 1]], [1, 2**63 - 1])
+        t = SparseCountTensor.from_entries((1,), [[0]] * 2, [2**62 - 1] * 2)
+        assert t.total == 2**63 - 2
+
+    def test_from_entries_rejects_a_scalar_count(self):
+        with pytest.raises(ValueError, match="counts must align with indices"):
+            SparseCountTensor.from_entries((2,), [0], 5)
+
     def test_counters(self):
         t = small_tensor()
         assert t.ndim == 3

@@ -95,9 +95,9 @@ class TestCanonicalForm:
 
     def test_from_entries_rejects_a_total_past_int64(self):
         # Merged duplicates and a stored total past 2**63 - 1 would wrap.
-        for idx, counts in (([[0]] * 4, [2**62] * 4), ([[0]] * 2, [2**62] * 2),
-                            ([[1, 1], [0, 0]], [2**63 - 1, 1])):
-            shape = (2, 3)[:len(idx[0])]
+        for shape, idx, counts in (((1,), [[0]] * 4, [2**62] * 4),
+                                   ((1,), [[0]] * 2, [2**62] * 2),
+                                   ((2, 3), [[1, 1], [0, 0]], [2**63 - 1, 1])):
             with pytest.raises(ValueError, match="total overflows int64"):
                 SparseCountTensor.from_entries(shape, idx, counts)
         with pytest.raises(ValueError, match="total overflows int64"):

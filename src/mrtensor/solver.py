@@ -17,11 +17,10 @@ design the coefficient total is conserved at sum(x) on every sweep.
 Each column's rows form one contiguous span of the stacked design; a
 sweep reads it once in cache-sized blocks of spans or span pieces, with
 one BLAS gemv per span or piece for intensities and one for numerators.
-The public solver, ``mm_poisson_regression_group``, checks its input
-and lays out the spans, then runs the one sweep loop, ``_mm_sweeps``.
+The public solver, ``mm_poisson_regression_group``, checks its input,
+then runs the one sweep loop, ``_mm_sweeps``, which lays out the spans.
 A fit calls that loop directly on the designs it built, so it skips
-the checks; it lays out each block's spans once per fit and its
-buffers once per live width.
+the checks.
 
 Group shrinkage augments the objective with beta * sum_k log(group_k
 sum + epsilon), a concave log-sum penalty.  Majorizing the logs by
@@ -258,8 +257,9 @@ def mm_poisson_regression_group(
         raise ValueError("designs must be finite and nonnegative")
     if not (x.min(initial=1) > 0 and x.max(initial=0) < np.inf):
         raise ValueError("counts must be positive and finite")
-    if (row_sums <= 0).any():
-        j = int(np.flatnonzero(row_sums <= 0)[0])
+    dead_rows = row_sums <= 0
+    if dead_rows.any():
+        j = int(np.flatnonzero(dead_rows)[0])
         raise ValueError(
             f"infeasible row: observation {j} has a positive count "
             "but an all-zero design row"
@@ -272,47 +272,34 @@ def mm_poisson_regression_group(
         raise ValueError(
             "segment ids must be sorted integers in [0, n_columns)"
         )
-    return _mm_sweeps(design, x, B, _layout(
-        _spans(segment), B.shape[1], B.shape[0]), beta, tol, max_iter)
+    return _mm_sweeps(design, x, segment, B, beta, tol, max_iter)
 
 
-def _spans(segment: np.ndarray) -> list[tuple[int, int, int]]:
-    """(column, first row, end row) of each run of equal sorted ids."""
-    first = np.flatnonzero(np.diff(segment, prepend=-1))
-    return list(zip(segment[first].tolist(), first.tolist(),
-                    [*first[1:].tolist(), len(segment)]))
-
-
-def _layout(spans, n_columns: int, width: int):
-    """A sweep's coefficient-side buffers at one width: (bt, numer, new,
-    delta, floor, blocks).  The iterate ``bt`` is held transposed, one
-    contiguous row per column, and updated in place, so the views in
-    ``blocks`` stay valid across sweeps and solves.  ``blocks`` are the
-    row blocks of at most ``_block_rows(width)`` rows, each a run of
-    whole spans or one piece of a longer span: (first row, end row,
-    pieces), a piece (first row, end row, coefficients, numerator,
-    whether it adds to an earlier piece's numerator)."""
-    bt = np.empty((n_columns, width))
+def _mm_sweeps(design, x, segment, start, beta, tol, max_iter):
+    """The sweeps of ``mm_poisson_regression_group`` on an instance it
+    does not check; ``x`` is float64.  Returns (B, sweeps)."""
+    # The iterate is held transposed, one contiguous row per column, and
+    # updated in place, so the views below stay valid across sweeps and
+    # a sweep allocates no array per entry.
+    bt = np.array(start.T, order="C")
+    lam, ratio = np.empty(len(x)), np.empty(len(x))
     numer = np.zeros_like(bt)
-    step = _block_rows(width)
+    new, delta, floor = (np.empty_like(bt) for _ in range(3))
+    # Row blocks of at most `step` rows: a run of whole spans, or one
+    # piece of a longer span; later pieces add to the first's numerator.
+    step = _block_rows(bt.shape[1])
+    first = np.flatnonzero(np.diff(segment, prepend=-1))
+    ends = first[1:].tolist() + [len(segment)]
     blocks = []
-    for c, s, e in spans:
+    for c, s, e in zip(segment[first].tolist(), first.tolist(), ends):
         for q in range(s, e, step):
             r = min(q + step, e)
             if not blocks or r - blocks[-1][0] > step:
                 blocks.append([q, r, []])
             blocks[-1][1] = r
             blocks[-1][2].append((q, r, bt[c], numer[c], q > s))
-    return (bt, numer, *(np.empty_like(bt) for _ in range(3)), blocks)
-
-
-def _mm_sweeps(design, x, start, layout, beta, tol, max_iter):
-    """The sweeps of ``mm_poisson_regression_group`` on an instance it
-    does not check: ``layout`` is ``_layout`` of the instance's spans at
-    ``start``'s width, ``x`` float64.  Returns (B, sweeps)."""
-    bt, numer, new, delta, floor, blocks = layout
-    bt[...] = start.T
-    lam, ratio = np.empty(len(x)), np.empty(len(x))
+    # Each piece's products pre-bound: (rows.dot, rows, coefficients,
+    # intensities, ratios.dot, numerator, whether it adds to it).
     work = [(x[s:e], lam[s:e], ratio[s:e],
              [(rows.dot, rows, b, lam[q:r], ratio[q:r].dot, out, later)
               for q, r, b, out, later in pieces for rows in (design[q:r],)])
@@ -341,8 +328,7 @@ def _mm_sweeps(design, x, start, layout, beta, tol, max_iter):
         bt[...] = new
         if delta.max(initial=0) < tol:
             break
-    # A copy, never a view: the fit reuses bt for the block's next solve.
-    return bt.T.copy(), sweeps
+    return np.ascontiguousarray(bt.T), sweeps
 
 
 def initialize(
@@ -418,56 +404,33 @@ def block_design(
     return design, tensor.counts[order], segment, start, components
 
 
-def _solve_block(model, tensor, mode, config):
+def _solve_block(model, tensor, mode, config, live=None):
     """(coefficients, columns, sweeps) of a block solved on its live
-    columns: one coefficient row per index in ``columns``."""
-    *instance, columns = block_design(model, tensor, mode)
-    coef, sweeps = mm_poisson_regression_group(
-        *instance, beta=config.shrinkage_strength(tensor.nnz),
-        max_iter=config.max_inner)
+    columns: one coefficient row per index in ``columns``.  The design
+    is built here, so the sweeps run without the public solver's
+    checks; ``live`` is as in ``block_design``."""
+    design, counts, segment, start, columns = block_design(
+        model, tensor, mode, live)
+    coef, sweeps = _mm_sweeps(
+        design, counts.astype(np.float64), segment, start,
+        config.shrinkage_strength(tensor.nnz), config.inner_tol,
+        config.max_inner)
     return coef, columns, sweeps
-
-
-class _FitState:
-    """What one fit reuses from block to block: ``live``, the
-    ``_live`` of the fit's current model; each block's spans, from its
-    first solve; and each block's sweep layout at its last live width."""
-
-    def __init__(self, live):
-        self.live = live
-        self.spans, self.layouts = {}, {}
-
-    def solve(self, model, tensor, mode, config):
-        """``_solve_block`` for the current model.  The design is built
-        here, so the sweeps run without the public entry's checks."""
-        design, counts, segment, start, columns = block_design(
-            model, tensor, mode, self.live)
-        layout = self.layouts.get(mode)
-        if layout is None or layout[0].shape[1] != len(columns):
-            if mode not in self.spans:
-                self.spans[mode] = _spans(segment)
-            layout = self.layouts[mode] = _layout(
-                self.spans[mode], tensor.shape[mode], len(columns))
-        coef, sweeps = _mm_sweeps(
-            design, counts.astype(np.float64), start, layout,
-            config.shrinkage_strength(tensor.nnz), config.inner_tol,
-            config.max_inner)
-        return coef, columns, sweeps
 
 
 def update_scores(
     model: CpBtdModel, tensor: SparseCountTensor, config: SolverConfig,
-    fit: _FitState | None = None,
+    live=None,
 ) -> tuple[CpBtdModel, int]:
     """Refit every replicate's usage scores at fixed motifs.
 
     The replicate subproblems are independent Poisson regressions on
     the sampled design rows; with shrinkage on they share the log-sum
-    penalty over each term's row of scores.  ``fit`` is the state of
-    the fit whose current model is ``model``, if one calls.
+    penalty over each term's row of scores.  ``live`` is
+    ``_live(model)``, computed here unless the caller has it.
     """
-    scores, terms, sweeps = (_solve_block if fit is None else fit.solve)(
-        model, tensor, tensor.ndim - 1, config)
+    scores, terms, sweeps = _solve_block(
+        model, tensor, tensor.ndim - 1, config, live)
     out = model._trusted_copy()
     out.upsilon[terms] = scores
     return out, sweeps
@@ -475,7 +438,7 @@ def update_scores(
 
 def update_mode(
     model: CpBtdModel, tensor: SparseCountTensor, mode: int,
-    config: SolverConfig, fit: _FitState | None = None,
+    config: SolverConfig, live=None,
 ) -> tuple[CpBtdModel, int]:
     """Refit one mode's profiles (and the mixing weights) in mass form.
 
@@ -485,21 +448,21 @@ def update_mode(
     the intensity function after the split equals the one the
     regression optimized.  A component left at zero mass keeps its last
     profile; a term left at zero mass (as every zero-usage term is)
-    keeps its mixing weights and gets zero scores.  ``fit`` is as in
+    keeps its mixing weights and gets zero scores.  ``live`` is as in
     ``update_scores``.
     """
     if not 0 <= mode < model.n_modes:
         raise ValueError("mode out of range")
-    coef, components, sweeps = (_solve_block if fit is None else fit.solve)(
-        model, tensor, mode, config)
-    usage = model.term_usage() if fit is None else fit.live[4]
+    live = _live(model) if live is None else live
+    coef, components, sweeps = _solve_block(model, tensor, mode, config, live)
+    usage = live[4]
     rho = np.zeros(model.total_rank)
     rho[components] = coef.sum(axis=1)
     mass = model.term_sums(rho)
-    live = rho > 0
+    kept = rho > 0
     term_mass = mass[model._block]
     out = model._trusted_copy()
-    out.factors[mode][:, live] = coef[live[components]].T / rho[live]
+    out.factors[mode][:, kept] = coef[kept[components]].T / rho[kept]
     np.divide(rho, term_mass, out=out.omega, where=term_mass > 0)
     out.upsilon *= np.divide(mass, usage, where=mass > 0,
                              out=np.zeros(model.n_terms))[:, None]
@@ -554,9 +517,8 @@ def fit_block_gs(
     t0 = time.perf_counter()
     model = initialize(config, tensor.shape, float(tensor.total))
     beta = config.shrinkage_strength(tensor.nnz)
-    fit = _FitState(_live(model))
-    current = penalized_objective(model, tensor, beta, config.epsilon,
-                                  fit.live)
+    live = _live(model)
+    current = penalized_objective(model, tensor, beta, config.epsilon, live)
     if not math.isfinite(current):
         raise SolverError("non-finite objective at initialization",
                           model=model)
@@ -574,7 +536,7 @@ def fit_block_gs(
         worst = current
         for block, update, args in blocks:
             try:
-                trial, sweeps = update(model, tensor, *args, config, fit)
+                trial, sweeps = update(model, tensor, *args, config, live)
             except ValueError as exc:
                 raise SolverError(f"fit aborted in the {block} block: {exc}",
                                   model=model, report=ended()) from exc
@@ -586,7 +548,7 @@ def fit_block_gs(
                 raise SolverError("fit aborted on a non-finite objective",
                                   model=trial, report=ended())
             if value <= current:
-                model, current, fit.live = trial, value, trial_live
+                model, current, live = trial, value, trial_live
                 accepted += 1
             else:
                 report.rejected_blocks += 1

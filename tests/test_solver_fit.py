@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrtensor import solver
-from mrtensor.model import _live, effective_terms, objective
+from mrtensor.model import effective_terms, objective
 from mrtensor.solver import (
     FitReport,
     SolverConfig,
@@ -201,10 +201,10 @@ class TestBlockUpdates:
             update_mode(model, t, 2, cfg)
 
 
-def full_width_solve(model, tensor, mode, config):
+def full_width_solve(model, tensor, mode, config, live=None):
     """A block solved over every column, dead ones included: the
     one-shot design and the model's own full start, with every index
-    returned as live."""
+    returned as live; ``live`` is not needed."""
     order = tensor.mode_order(mode)
     if mode == tensor.ndim - 1:
         start = model.upsilon
@@ -475,8 +475,9 @@ def reference_fit(tensor, config):
 
 
 class TestFitEqualsReferenceLoop:
-    """The fit reuses state across block attempts; it must give what
-    the standalone updates give, bit for bit."""
+    """The fit shares each model's live set between its objective and
+    the next block; it must give what the standalone updates give, bit
+    for bit."""
 
     @pytest.mark.parametrize("seed, n_terms, rank, beta, max_inner, stop", [
         (70, 4, 2, 5e-2, 20, "converged"),  # columns die mid-fit
@@ -503,23 +504,6 @@ class TestFitEqualsReferenceLoop:
             assert report.rejected_blocks > 0 and live < cfg.n_terms * rank
         if seed == 73:
             assert (model.term_usage() > 0).sum() == 1
-
-    def test_block_result_outlives_the_next_solve(self):
-        # With one live column the transposed iterate is already
-        # contiguous; the result must still be a copy, since the fit
-        # solves the block's next instance in the same buffers.
-        t = random_tensor(np.random.default_rng(79), n_entries=40)
-        cfg = small_config(n_terms=1, rank=1, beta=1e-1, max_inner=5)
-        first = initialize(cfg, t.shape, float(t.total))
-        second = initialize(small_config(n_terms=1, rank=1, seed=1),
-                            t.shape, float(t.total))
-        for mode in range(t.ndim):
-            fit = solver._FitState(_live(first))
-            coef = fit.solve(first, t, mode, cfg)[0]
-            kept = coef.copy()
-            fit.live = _live(second)
-            fit.solve(second, t, mode, cfg)
-            assert np.array_equal(coef, kept)
 
 
 class TestFitEm:

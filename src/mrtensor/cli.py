@@ -5,7 +5,8 @@ formats, calls one library pipeline, and writes artifacts.  Every
 solver knob is a flag, so the command line plus a seed reproduces a
 run byte for byte on the same BLAS build and thread count (the
 objective's final dot product is a BLAS call whose rounding can change
-with the thread count).
+with the thread count, and on a small tensor so are the matrix products
+that give the score block's and the objective's intensities).
 """
 
 from __future__ import annotations

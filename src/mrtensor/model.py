@@ -183,11 +183,12 @@ def effective_terms(model: CpBtdModel) -> int:
 
 
 def _live(model: CpBtdModel):
-    """(terms, components, factors, mixing, usage, scale) at live width:
-    the live terms (usage > 0) and components (scale > 0), each factor's
-    live columns, and the mixing matrix, each weight in its term's
-    column; then the ``term_usage()`` and ``component_scale()`` they
-    come from.  A dead one has mass 0: it adds to no intensity."""
+    """(terms, components, factors, mixing, usage, scale, cache) at live
+    width: the live terms (usage > 0) and components (scale > 0), each
+    factor's live columns, and the mixing matrix, each weight in its
+    term's column; then the ``term_usage()`` and ``component_scale()``
+    they come from, and an empty dict for ``_mixed``.  A dead one has
+    mass 0: it adds to no intensity."""
     usage = model.term_usage()
     scale = model.omega * usage[model._block]
     terms = np.flatnonzero(usage > 0)
@@ -196,7 +197,18 @@ def _live(model: CpBtdModel):
     column = np.searchsorted(terms, model._block[components])
     mixing[np.arange(len(components)), column] = model.omega[components]
     factors = [phi[:, components] for phi in model.factors]
-    return terms, components, factors, mixing, usage, scale
+    return terms, components, factors, mixing, usage, scale, {}
+
+
+def _mixed(tensor: SparseCountTensor, live) -> np.ndarray:
+    """Each distinct cell's (``cell_groups``) factor row mixed into the
+    live terms of ``live``: the score block's design rows, one per cell.
+    Kept in the live set's cache, so it is computed once per tensor."""
+    cells, _ = tensor.cell_groups()
+    cache = live[6]
+    if cache.get("cells") is not cells:
+        cache.update(cells=cells, mixed=factor_rows(cells, live[2]) @ live[3])
+    return cache["mixed"]
 
 
 def objective(model: CpBtdModel, tensor: SparseCountTensor,
@@ -210,9 +222,12 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor,
 
     Every sum runs over the live terms and components only: ``live`` is
     ``_live(model)``, computed here unless the caller has it.
-    Memory: the intensities are one nnz vector filled a row block at a
-    time, so the scratch is two gathered blocks of at most
-    ``_BLOCK_ELEMENTS`` entries each, never an nnz x H array.
+    Memory: besides the cells x live-terms mixed rows, a tensor with a
+    ``grid_index`` takes its intensities from one cells x replicates
+    product, at most ``_GRID_ENTRIES`` x nnz entries; any other fills
+    one nnz vector a row block at a time, so the scratch is two
+    gathered blocks of at most ``_BLOCK_ELEMENTS`` entries each.
+    Neither holds an nnz x H array.
     """
     if tensor.ndim != model.n_modes + 1:
         raise ValueError("tensor order does not match the model")
@@ -220,19 +235,25 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor,
         raise ValueError("replicate counts disagree")
     if tensor.shape[:-1] != model.mode_sizes:
         raise ValueError("mode sizes disagree")
-    terms, components, factors, mixing, _, scale = (
-        _live(model) if live is None else live)
+    live = _live(model) if live is None else live
+    terms, components, factors, _, _, scale, _ = live
     colsum = np.prod([phi.sum(axis=0) for phi in factors], axis=0)
     linear = float(colsum @ scale[components])
-    # Mix live components into live terms once per cell, then dot each
-    # entry's cell row with its replicate's scores.
-    cells, inverse = tensor.cell_groups()
-    mixed = factor_rows(cells, factors) @ mixing
-    scores = model.upsilon[terms].T
-    reps = tensor.indices[:, -1]
-    lam = np.empty(tensor.nnz)
-    for s in _row_blocks(tensor.nnz, len(terms)):
-        np.einsum("jh,jh->j", mixed[inverse[s]], scores[reps[s]], out=lam[s])
+    # Mix live components into live terms once per cell, then take each
+    # entry's intensity from its cell's row and its replicate's scores:
+    # on the grid, one product for every cell and replicate.
+    mixed = _mixed(tensor, live)
+    index = tensor.grid_index()
+    if index is not None:
+        lam = (mixed @ model.upsilon[terms]).ravel().take(index)
+    else:
+        _, inverse = tensor.cell_groups()
+        scores = model.upsilon[terms].T
+        reps = tensor.indices[:, -1]
+        lam = np.empty(tensor.nnz)
+        for s in _row_blocks(tensor.nnz, len(terms)):
+            np.einsum("jh,jh->j", mixed[inverse[s]], scores[reps[s]],
+                      out=lam[s])
     if (lam <= 0).any():
         return math.inf
     return linear - float(tensor.counts @ np.log(lam))

@@ -14,13 +14,23 @@ contribution and gives the closed-form sweep
 The objective only involves observations with positive counts, every
 sweep keeps the iterate nonnegative, and with a column-stochastic
 design the coefficient total is conserved at sum(x) on every sweep.
-Each column's rows form one contiguous span of the stacked design; a
-sweep reads it once in cache-sized blocks of spans or span pieces, with
-one BLAS gemv per span or piece for intensities and one for numerators.
-The public solver, ``mm_poisson_regression_group``, checks its input,
-then runs the one sweep loop, ``_mm_sweeps``, which lays out the spans.
-A fit calls that loop directly on the designs it built, so it skips
-the checks.
+
+One sweep loop, ``_mm_sweeps``, applies the update; a data pass gives
+it the numerators, and the two passes differ only in how they form the
+intensities (A b)_j and the numerators.  Over a stacked design
+(``_span_pass``), each column's rows form one contiguous span, read
+once per sweep in cache-sized blocks of spans or span pieces, with one
+BLAS gemv per span or piece for intensities and one for numerators.
+The score block of a tensor whose grid of distinct cells x replicates
+is small (``SparseCountTensor.grid_index``) runs on that grid instead
+(``_grid_pass``): its design rows depend only on the cell, so one gemm
+gives every cell's intensity in every replicate and one gives every
+numerator, from the count ratios scattered onto the grid.  Both are
+exact factorizations of the same sums, CP-APR's multiplicative update
+(Chi & Kolda 2012), and differ only in rounding.  The public solver,
+``mm_poisson_regression_group``, checks its input, then runs the loop
+on the span pass.  A fit builds its data itself, so it skips the
+checks.
 
 Group shrinkage augments the objective with beta * sum_k log(group_k
 sum + epsilon), a concave log-sum penalty.  Majorizing the logs by
@@ -46,11 +56,12 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .ingest import _csv_rows
-from .model import CpBtdModel, _live, effective_terms, objective
+from .model import CpBtdModel, _live, _mixed, effective_terms, objective
 from .sptensor import SparseCountTensor, _block_rows, _row_blocks, factor_rows
 
 # Dead: the inner solver zeroes coefficients at or below this.  The
@@ -272,19 +283,48 @@ def mm_poisson_regression_group(
         raise ValueError(
             "segment ids must be sorted integers in [0, n_columns)"
         )
-    return _mm_sweeps(design, x, segment, B, beta, tol, max_iter)
+    return _mm_sweeps(B, partial(_span_pass, design, x, segment), beta, tol,
+                      max_iter)
 
 
-def _mm_sweeps(design, x, segment, start, beta, tol, max_iter):
-    """The sweeps of ``mm_poisson_regression_group`` on an instance it
-    does not check; ``x`` is float64.  Returns (B, sweeps)."""
-    # The iterate is held transposed, one contiguous row per column, and
-    # updated in place, so the views below stay valid across sweeps and
-    # a sweep allocates no array per entry.
+def _mm_sweeps(start, data_pass, beta, tol, max_iter):
+    """The sweeps of ``mm_poisson_regression_group`` from ``start`` (K x
+    columns), on data it does not check: ``data_pass(bt, numer)`` binds
+    a data pass to the iterate, held transposed (columns x K), and to
+    the numerators, and each call of what it returns writes every
+    numerator at the current iterate.  Returns (B, sweeps)."""
+    # The iterate is updated in place, so the views a data pass binds
+    # stay valid across sweeps and a sweep allocates no array per entry.
     bt = np.array(start.T, order="C")
-    lam, ratio = np.empty(len(x)), np.empty(len(x))
     numer = np.zeros_like(bt)
+    fill = data_pass(bt, numer)
     new, delta, floor = (np.empty_like(bt) for _ in range(3))
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        fill()
+        np.multiply(bt, numer, out=new)
+        new *= 1.0 / (1.0 + beta / (SolverConfig.epsilon + bt.sum(0)))
+        np.abs(np.subtract(new, bt, out=delta), out=delta)
+        delta /= np.maximum(bt, 1e-30, out=floor)
+        new[new <= DEAD_FLOOR] = 0.0
+        bt[...] = new
+        if delta.max(initial=0) < tol:
+            break
+    return np.ascontiguousarray(bt.T), sweeps
+
+
+def _check_intensities(lam):
+    if lam.min(initial=np.inf) <= 0:
+        raise ValueError(
+            "zero intensity at a positive count; the iterate cannot "
+            "support the data"
+        )
+
+
+def _span_pass(design, x, segment, bt, numer):
+    """A data pass over a stacked design: per span, one gemv for its
+    intensities and one for its numerators; ``x`` is float64."""
+    lam, ratio = np.empty(len(x)), np.empty(len(x))
     # Row blocks of at most `step` rows: a run of whole spans, or one
     # piece of a longer span; later pieces add to the first's numerator.
     step = _block_rows(bt.shape[1])
@@ -304,31 +344,43 @@ def _mm_sweeps(design, x, segment, start, beta, tol, max_iter):
              [(rows.dot, rows, b, lam[q:r], ratio[q:r].dot, out, later)
               for q, r, b, out, later in pieces for rows in (design[q:r],)])
             for s, e, pieces in blocks]
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
+
+    def fill():
         for x_b, lam_b, ratio_b, views in work:
             for dot, _, b, lam_c, _, _, _ in views:
                 dot(b, lam_c)
-            if lam_b.min() <= 0:
-                raise ValueError(
-                    "zero intensity at a positive count; the iterate "
-                    "cannot support the data"
-                )
+            _check_intensities(lam_b)
             np.divide(x_b, lam_b, out=ratio_b)
             for _, rows, _, _, ratio_dot, out, later in views:
                 if later:
                     out += ratio_dot(rows)
                 else:
                     ratio_dot(rows, out)
-        np.multiply(bt, numer, out=new)
-        new *= 1.0 / (1.0 + beta / (SolverConfig.epsilon + bt.sum(0)))
-        np.abs(np.subtract(new, bt, out=delta), out=delta)
-        delta /= np.maximum(bt, 1e-30, out=floor)
-        new[new <= DEAD_FLOOR] = 0.0
-        bt[...] = new
-        if delta.max(initial=0) < tol:
-            break
-    return np.ascontiguousarray(bt.T), sweeps
+
+    return fill
+
+
+def _grid_pass(mixed, x, index, bt, numer):
+    """A data pass on the cells x replicates grid of a score block:
+    ``mixed`` holds one design row per distinct cell and ``index`` each
+    count's position in the grid (``SparseCountTensor.grid_index``).
+    One gemm gives every grid intensity and one gives every numerator,
+    from the count ratios scattered onto the grid; a replicate with no
+    count gets zero numerators.  ``x`` is float64."""
+    lam = np.empty(len(x))
+    grid = np.empty((len(mixed), len(bt)))
+    ratios = np.zeros_like(grid)
+    flat, ratio_flat = grid.reshape(-1), ratios.reshape(-1)
+
+    def fill():
+        np.matmul(mixed, bt.T, out=grid)
+        # take's default mode buffers a copy; every index is in range.
+        np.take(flat, index, out=lam, mode="clip")
+        _check_intensities(lam)
+        ratio_flat[index] = np.divide(x, lam, out=lam)
+        np.matmul(ratios.T, mixed, out=numer)
+
+    return fill
 
 
 def initialize(
@@ -374,7 +426,9 @@ def block_design(
     scales rows by the replicate's per-component scores psi, and solves
     for A = Phi diag(tau), tau the component masses.  Columns are the
     live terms or components only, indexed by ``columns``; ``live`` is
-    ``_live(model)``, computed here unless the caller has it.
+    ``_live(model)``, computed here unless the caller has it.  A fit
+    solves the score block of a tensor with a ``grid_index`` on that
+    grid and builds no score design for it.
 
     Memory: the design is the one nnz x live-columns float64 array a
     block holds.  A mode block fills it a row block at a time from the
@@ -384,12 +438,11 @@ def block_design(
     order = tensor.mode_order(mode)
     segment = tensor.indices[order, mode]
     cells, inverse = tensor.cell_groups()
-    terms, components, factors, mixing, usage, scale = (
-        _live(model) if live is None else live)
+    live = _live(model) if live is None else live
+    terms, components, factors, _, usage, scale, _ = live
     if mode == tensor.ndim - 1:
-        mixed = factor_rows(cells, factors) @ mixing
-        return (mixed[inverse[order]], tensor.counts[order], segment,
-                model.upsilon[terms], terms)
+        return (_mixed(tensor, live)[inverse[order]], tensor.counts[order],
+                segment, model.upsilon[terms], terms)
     term = model._block[components]
     psi = (model.upsilon[term] / usage[term, None]).T
     rows = factor_rows(cells, factors, skip=mode)
@@ -406,14 +459,24 @@ def block_design(
 
 def _solve_block(model, tensor, mode, config, live=None):
     """(coefficients, columns, sweeps) of a block solved on its live
-    columns: one coefficient row per index in ``columns``.  The design
-    is built here, so the sweeps run without the public solver's
-    checks; ``live`` is as in ``block_design``."""
-    design, counts, segment, start, columns = block_design(
-        model, tensor, mode, live)
+    columns: one coefficient row per index in ``columns``.  The data
+    are built here, so the sweeps run without the public solver's
+    checks.  The score block of a tensor with a ``grid_index`` is
+    solved on that grid, without a per-entry design; ``live`` is as in
+    ``block_design``."""
+    live = _live(model) if live is None else live
+    index = tensor.grid_index() if mode == tensor.ndim - 1 else None
+    if index is None:
+        design, counts, segment, start, columns = block_design(
+            model, tensor, mode, live)
+        data = partial(_span_pass, design, counts.astype(np.float64), segment)
+    else:
+        columns = live[0]
+        start = model.upsilon[columns]
+        data = partial(_grid_pass, _mixed(tensor, live),
+                       tensor.counts.astype(np.float64), index)
     coef, sweeps = _mm_sweeps(
-        design, counts.astype(np.float64), segment, start,
-        config.shrinkage_strength(tensor.nnz), config.inner_tol,
+        start, data, config.shrinkage_strength(tensor.nnz), config.inner_tol,
         config.max_inner)
     return coef, columns, sweeps
 
@@ -484,7 +547,7 @@ def penalized_objective(
     here unless the caller has it.
     """
     live = _live(model) if live is None else live
-    usage, tau = live[4:]
+    usage, tau = live[4:6]
     pen = float(
         np.log(usage + epsilon).sum()
         + model.n_modes * np.log(tau + epsilon).sum()
@@ -542,6 +605,10 @@ def fit_block_gs(
                                   model=model, report=ended()) from exc
             inner_total += sweeps
             trial_live = _live(trial)
+            if block == "score" and np.array_equal(trial_live[0], live[0]):
+                # Same factors and weights on the same live terms: the
+                # same mixed cell rows.
+                trial_live[6].update(live[6])
             value = penalized_objective(trial, tensor, beta, config.epsilon,
                                         trial_live)
             if not math.isfinite(value):

@@ -1,10 +1,10 @@
 """Row-blocked designs and intensities: same bits, bounded memory.
 
 ``block_design`` and ``objective`` fill their per-entry results a row
-block at a time.  They must reproduce the one-shot expressions of
-``oracles`` bit for bit whatever the block size, and their traced
-allocations must stay near one design (no nnz x H array for the
-objective).  The inner solver walks a given design in row blocks and
+block at a time (``objective`` only off the cells x replicates grid).
+They must reproduce the one-shot expressions of ``oracles`` bit for bit
+whatever the block size, and their traced allocations must stay near
+one design (no nnz x H array for the objective).  The inner solver walks a given design in row blocks and
 adds only per-entry vectors to it.  numpy reports its data buffers to
 ``tracemalloc``.
 """
@@ -33,10 +33,12 @@ def random_model(rng, sizes, ranks, n_rep):
     return CpBtdModel(tuple(ranks), factors, omega, upsilon)
 
 
-def small_case():
-    """61 entries on a (3, 4, 2) x 5 grid; total rank 6 over 3 terms."""
+def small_case(n_rep=5):
+    """61 entries on a (3, 4, 2) x n_rep grid; total rank 6 over 3 terms.
+    At 5 replicates the tensor takes its cells x replicates grid; at 40
+    it does not, so ``objective`` fills its intensities row blocks."""
     rng = np.random.default_rng(61)
-    shape = (3, 4, 2, 5)
+    shape = (3, 4, 2, n_rep)
     flat = rng.choice(np.prod(shape), size=61, replace=False)
     idx = np.column_stack(np.unravel_index(flat, shape))
     tensor = SparseCountTensor.from_entries(
@@ -84,13 +86,17 @@ class TestSameBits:
         model, tensor = small_case()
         assert tensor.nnz % 7 and tensor.nnz % 14
         assert tensor.nnz * model.total_rank <= sptensor._BLOCK_ELEMENTS
+        # The intensities are row-blocked only off the grid.
+        sparse_model, sparse = small_case(n_rep=40)
+        assert sparse.nnz == tensor.nnz and sparse.grid_index() is None
         monkeypatch.setattr(sptensor, "_BLOCK_ELEMENTS", budget)
         for mode in range(tensor.ndim):
             design = block_design(model, tensor, mode)[0]
             assert np.array_equal(
                 design, block_design_one_shot(model, tensor, mode))
-        assert np.array_equal(objective_intensities(model, tensor, monkeypatch),
-                              intensities_one_shot(model, tensor))
+        assert np.array_equal(
+            objective_intensities(sparse_model, sparse, monkeypatch),
+            intensities_one_shot(sparse_model, sparse))
 
     def test_empty_tensor(self, monkeypatch):
         model, _ = small_case()

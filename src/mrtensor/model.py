@@ -182,33 +182,36 @@ def effective_terms(model: CpBtdModel) -> int:
     return int((model.term_usage() > RANK_THRESHOLD).sum())
 
 
-def _live(model: CpBtdModel):
-    """(terms, components, factors, mixing, usage, scale, cache) at live
-    width: the live terms (usage > 0) and components (scale > 0), each
-    factor's live columns, and the mixing matrix, each weight in its
-    term's column; then the ``term_usage()`` and ``component_scale()``
-    they come from, and an empty dict for ``_mixed``.  A dead one has
-    mass 0: it adds to no intensity."""
+def _live(model: CpBtdModel, tensor: SparseCountTensor, parent=None):
+    """(terms, components, factors, mixed, usage, scale): the model on
+    the tensor at live width, once the two are checked to agree.  The
+    live terms (usage > 0) and components (scale > 0), each factor's
+    live columns, each distinct cell's (``cell_groups``) factor row
+    mixed into the live terms, then the ``term_usage()`` and
+    ``component_scale()`` they come from.  A dead one has mass 0: it
+    adds to no intensity.  ``parent`` is the live set on the same
+    tensor of a model with the same factors and mixing weights, as a
+    score block's trial has; when the live terms and components both
+    match it, its first four fields are the same values and are reused."""
+    if tensor.ndim != model.n_modes + 1:
+        raise ValueError("tensor order does not match the model")
+    if tensor.shape[-1] != model.n_replicates:
+        raise ValueError("replicate counts disagree")
+    if tensor.shape[:-1] != model.mode_sizes:
+        raise ValueError("mode sizes disagree")
     usage = model.term_usage()
     scale = model.omega * usage[model._block]
     terms = np.flatnonzero(usage > 0)
     components = np.flatnonzero(scale > 0)
+    if (parent is not None and np.array_equal(terms, parent[0])
+            and np.array_equal(components, parent[1])):
+        return (*parent[:4], usage, scale)
     mixing = np.zeros((len(components), len(terms)))
     column = np.searchsorted(terms, model._block[components])
     mixing[np.arange(len(components)), column] = model.omega[components]
     factors = [phi[:, components] for phi in model.factors]
-    return terms, components, factors, mixing, usage, scale, {}
-
-
-def _mixed(tensor: SparseCountTensor, live) -> np.ndarray:
-    """Each distinct cell's (``cell_groups``) factor row mixed into the
-    live terms of ``live``: the score block's design rows, one per cell.
-    Kept in the live set's cache, so it is computed once per tensor."""
-    cells, _ = tensor.cell_groups()
-    cache = live[6]
-    if cache.get("cells") is not cells:
-        cache.update(cells=cells, mixed=factor_rows(cells, live[2]) @ live[3])
-    return cache["mixed"]
+    mixed = factor_rows(tensor.cell_groups()[0], factors) @ mixing
+    return terms, components, factors, mixed, usage, scale
 
 
 def objective(model: CpBtdModel, tensor: SparseCountTensor,
@@ -220,8 +223,9 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor,
     stochasticity constraints).  A zero intensity at a stored positive
     count makes the objective +inf.
 
-    Every sum runs over the live terms and components only: ``live`` is
-    ``_live(model)``, computed here unless the caller has it.
+    Every sum runs over the live terms and components only.  ``live``
+    is ``_live(model, tensor)``; when the caller does not pass it, it is
+    computed here, which checks that the tensor fits the model.
     Memory: besides the cells x live-terms mixed rows, a tensor with a
     ``grid_index`` takes its intensities from one cells x replicates
     product, at most ``_GRID_ENTRIES`` x nnz entries; any other fills
@@ -229,20 +233,13 @@ def objective(model: CpBtdModel, tensor: SparseCountTensor,
     gathered blocks of at most ``_BLOCK_ELEMENTS`` entries each.
     Neither holds an nnz x H array.
     """
-    if tensor.ndim != model.n_modes + 1:
-        raise ValueError("tensor order does not match the model")
-    if tensor.shape[-1] != model.n_replicates:
-        raise ValueError("replicate counts disagree")
-    if tensor.shape[:-1] != model.mode_sizes:
-        raise ValueError("mode sizes disagree")
-    live = _live(model) if live is None else live
-    terms, components, factors, _, _, scale, _ = live
+    live = _live(model, tensor) if live is None else live
+    terms, components, factors, mixed, _, scale = live
     colsum = np.prod([phi.sum(axis=0) for phi in factors], axis=0)
     linear = float(colsum @ scale[components])
-    # Mix live components into live terms once per cell, then take each
-    # entry's intensity from its cell's row and its replicate's scores:
-    # on the grid, one product for every cell and replicate.
-    mixed = _mixed(tensor, live)
+    # Each entry's intensity is its cell's mixed row times its
+    # replicate's scores: on the grid, one product for every cell and
+    # replicate.
     index = tensor.grid_index()
     if index is not None:
         lam = (mixed @ model.upsilon[terms]).ravel().take(index)

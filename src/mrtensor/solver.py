@@ -61,7 +61,7 @@ from functools import partial
 import numpy as np
 
 from .ingest import _csv_rows
-from .model import CpBtdModel, _live, _mixed, effective_terms, objective
+from .model import CpBtdModel, _live, effective_terms, objective
 from .sptensor import SparseCountTensor, _block_rows, _row_blocks, factor_rows
 
 # Dead: the inner solver zeroes coefficients at or below this.  The
@@ -425,8 +425,9 @@ def block_design(
     scores as coefficients.  Any other mode leaves its own factor out,
     scales rows by the replicate's per-component scores psi, and solves
     for A = Phi diag(tau), tau the component masses.  Columns are the
-    live terms or components only, indexed by ``columns``; ``live`` is
-    ``_live(model)``, computed here unless the caller has it.  A fit
+    live terms or components only, indexed by ``columns``.  ``live`` is
+    ``_live(model, tensor)``; when the caller does not pass it, it is
+    computed here, which checks that the tensor fits the model.  A fit
     solves the score block of a tensor with a ``grid_index`` on that
     grid and builds no score design for it.
 
@@ -435,14 +436,14 @@ def block_design(
     cell-level factor rows, so its scratch is one gathered block of at
     most ``_BLOCK_ELEMENTS`` entries.
     """
+    live = _live(model, tensor) if live is None else live
+    terms, components, factors, mixed, usage, scale = live
     order = tensor.mode_order(mode)
     segment = tensor.indices[order, mode]
     cells, inverse = tensor.cell_groups()
-    live = _live(model) if live is None else live
-    terms, components, factors, _, usage, scale, _ = live
     if mode == tensor.ndim - 1:
-        return (_mixed(tensor, live)[inverse[order]], tensor.counts[order],
-                segment, model.upsilon[terms], terms)
+        return (mixed[inverse[order]], tensor.counts[order], segment,
+                model.upsilon[terms], terms)
     term = model._block[components]
     psi = (model.upsilon[term] / usage[term, None]).T
     rows = factor_rows(cells, factors, skip=mode)
@@ -464,7 +465,7 @@ def _solve_block(model, tensor, mode, config, live=None):
     checks.  The score block of a tensor with a ``grid_index`` is
     solved on that grid, without a per-entry design; ``live`` is as in
     ``block_design``."""
-    live = _live(model) if live is None else live
+    live = _live(model, tensor) if live is None else live
     index = tensor.grid_index() if mode == tensor.ndim - 1 else None
     if index is None:
         design, counts, segment, start, columns = block_design(
@@ -473,8 +474,8 @@ def _solve_block(model, tensor, mode, config, live=None):
     else:
         columns = live[0]
         start = model.upsilon[columns]
-        data = partial(_grid_pass, _mixed(tensor, live),
-                       tensor.counts.astype(np.float64), index)
+        data = partial(_grid_pass, live[3], tensor.counts.astype(np.float64),
+                       index)
     coef, sweeps = _mm_sweeps(
         start, data, config.shrinkage_strength(tensor.nnz), config.inner_tol,
         config.max_inner)
@@ -489,8 +490,9 @@ def update_scores(
 
     The replicate subproblems are independent Poisson regressions on
     the sampled design rows; with shrinkage on they share the log-sum
-    penalty over each term's row of scores.  ``live`` is
-    ``_live(model)``, computed here unless the caller has it.
+    penalty over each term's row of scores.  ``live`` is as in
+    ``block_design``: without it, a tensor that does not fit the model
+    raises ``ValueError``.
     """
     scores, terms, sweeps = _solve_block(
         model, tensor, tensor.ndim - 1, config, live)
@@ -516,7 +518,7 @@ def update_mode(
     """
     if not 0 <= mode < model.n_modes:
         raise ValueError("mode out of range")
-    live = _live(model) if live is None else live
+    live = _live(model, tensor) if live is None else live
     coef, components, sweeps = _solve_block(model, tensor, mode, config, live)
     usage = live[4]
     rho = np.zeros(model.total_rank)
@@ -543,10 +545,9 @@ def penalized_objective(
 
     The mode-block penalties all equal the log-sum of the component
     masses when the model is in canonical (column-stochastic) form, so
-    they enter once per mode.  ``live`` is ``_live(model)``, computed
-    here unless the caller has it.
+    they enter once per mode.  ``live`` is as in ``objective``.
     """
-    live = _live(model) if live is None else live
+    live = _live(model, tensor) if live is None else live
     usage, tau = live[4:6]
     pen = float(
         np.log(usage + epsilon).sum()
@@ -574,13 +575,14 @@ def fit_block_gs(
     or a non-finite objective, raises SolverError carrying the partial
     report.
 
-    Each model's ``_live`` is evaluated once, for its objective and,
-    once accepted, for the next block's design and write-back.
+    Each model's live set, ``_live(model, tensor)``, is evaluated once,
+    for its objective and, once accepted, for the next block's data and
+    write-back; a score block's trial builds its own on the current one.
     """
     t0 = time.perf_counter()
     model = initialize(config, tensor.shape, float(tensor.total))
     beta = config.shrinkage_strength(tensor.nnz)
-    live = _live(model)
+    live = _live(model, tensor)
     current = penalized_objective(model, tensor, beta, config.epsilon, live)
     if not math.isfinite(current):
         raise SolverError("non-finite objective at initialization",
@@ -604,11 +606,8 @@ def fit_block_gs(
                 raise SolverError(f"fit aborted in the {block} block: {exc}",
                                   model=model, report=ended()) from exc
             inner_total += sweeps
-            trial_live = _live(trial)
-            if block == "score" and np.array_equal(trial_live[0], live[0]):
-                # Same factors and weights on the same live terms: the
-                # same mixed cell rows.
-                trial_live[6].update(live[6])
+            trial_live = _live(trial, tensor,
+                               live if block == "score" else None)
             value = penalized_objective(trial, tensor, beta, config.epsilon,
                                         trial_live)
             if not math.isfinite(value):

@@ -37,7 +37,7 @@ REPORT_FIELDS = [
 
 # Statements in src/mrtensor, docstrings left out.  A change that adds
 # statements raises this on purpose and says why in CHANGES.md.
-SOURCE_STATEMENTS = 1158
+SOURCE_STATEMENTS = 1152
 
 
 GEOMETRY_FLAGS = {"--length", "--width", "--attack-direction"}
